@@ -4,15 +4,13 @@
 # failure paths (sentinel death, connection drops, deadlines, torn frames)
 # are exercised with the detector on even if the default sweep is filtered;
 # conformance runs the backend contract suite — every backend directly and
-# through every strategy — under -race; bench-smoke compiles and single-shots
-# the parallel and allocation benchmarks so they cannot bit-rot; bench-json
-# regenerates the committed Figure 6 JSON report.
+# through every strategy — under -race; bench-smoke single-shots the wire and
+# cache Go benchmarks and runs the repository benchmark's smoke pass so
+# neither can bit-rot.
 
 GO ?= go
-BENCH_JSON ?= BENCH_9.json
-BENCH_BASE ?= BENCH_8.json
 
-.PHONY: all tier1 race conformance bench-smoke bench-json bench-compare
+.PHONY: all tier1 race conformance bench-smoke
 
 all: tier1 race bench-smoke
 
@@ -26,13 +24,13 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Proxy|Partial|Torn|SentinelDeath|StalledSentinel|Mux|Client' \
-		./internal/ipc ./internal/core ./internal/remote ./internal/faultinject ./internal/bench
+		./internal/ipc ./internal/core ./internal/remote ./internal/faultinject
 	$(GO) test -race -count=1 -run 'Tenant|Drain|Daemon|Sigterm|Signal' \
 		./internal/daemon ./internal/remote ./cmd/afd
 	$(GO) test -race -count=1 -run 'Fleet|Lease|Refusal|Map' \
 		./internal/fleet ./internal/remote ./internal/cache
-	$(GO) test -race -count=1 -run 'MPSC|Numa|Lane|Submitter|URing' \
-		./internal/shm ./internal/core ./internal/wire
+	$(GO) test -race -count=1 -run 'MPSC|Lane' \
+		./internal/shm ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the
@@ -41,31 +39,13 @@ conformance:
 	$(GO) test -race -count=1 -run 'Conformance|TestBackend' \
 		./internal/backend/... ./internal/core ./internal/remote ./internal/fleet
 
-# Smoke-run the benchmark panels: the parallel sweep plus the wire
-# allocation benchmarks (which assert the zero-copy framing stays
-# allocation-free), the small-block sequential panel, and a short
-# pipe-vs-shm transport sweep so the syscall-economy cells cannot bit-rot.
+# Smoke-run the benchmarks: the wire allocation benchmarks (which assert the
+# zero-copy framing stays allocation-free), the sharded cache hit benchmark,
+# and every workload of the repository benchmark, untraced and traced, for
+# about a second each (its numbers mean nothing; it checks that every
+# workload still runs correctly end to end).
 bench-smoke:
 	$(GO) vet ./...
-	$(GO) test -run NONE -bench BenchmarkParallel -benchtime 1x ./internal/bench
 	$(GO) test -run NONE -bench 'BenchmarkWriteRequest|BenchmarkReadResponse' -benchtime 100x ./internal/wire
-	$(GO) test -run NONE -bench BenchmarkSmallBlockSequential -benchtime 10x ./internal/bench
-	$(GO) test -run NONE -bench BenchmarkOpenClose -benchtime 3x ./internal/bench
 	$(GO) test -run NONE -bench BenchmarkShardedCacheParallelHits -benchtime 100x ./internal/cache
-	$(GO) run ./cmd/afbench -transport sweep -panel c -op read -blocks 64 -ops 200
-	$(GO) run ./cmd/afbench -fleet 1,2 -ops 200
-
-# Regenerate the machine-readable benchmark report committed alongside
-# EXPERIMENTS.md: the Figure 6 panels plus the concurrency sweeps (with
-# frame-batching amortization), the many-tenant session sweep (admission,
-# quota rejections, drain), the fleet-scale session cohorts (MPSC lane
-# plane descriptor economy at 64/256/1024 sessions), and the open/close
-# churn sweep. Override BENCH_JSON to write elsewhere.
-bench-json:
-	$(GO) run ./cmd/afbench -full -json $(BENCH_JSON)
-
-# Diff the current report against the previous PR's committed baseline as a
-# per-cell percentage table. Override BENCH_BASE/BENCH_JSON to compare other
-# pairs (v1 reports compare on their Figure 6 cells only).
-bench-compare:
-	$(GO) run ./cmd/afbench -compare $(BENCH_BASE),$(BENCH_JSON)
+	$(GO) run ./benchmark -smoke

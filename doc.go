@@ -3,8 +3,8 @@
 // Itzkovitz, Karamcheti — ICDCS 2000).
 //
 // The public API lives in repro/activefile (using active files) and
-// repro/activefile/sentinel (authoring sentinel programs). The benchmarks in
-// bench_test.go regenerate the paper's Figure 6; cmd/afbench prints the same
-// series with the paper's exact methodology. See README.md, DESIGN.md, and
-// EXPERIMENTS.md.
+// repro/activefile/sentinel (authoring sentinel programs). The benchmark in
+// benchmark/ measures the stack end to end (go run ./benchmark -smoke), and
+// activefile/figure6_test.go checks the ordering of the paper's Figure 6. See
+// README.md, DESIGN.md, and EXPERIMENTS.md.
 package repro

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 
 	"repro/internal/shm"
@@ -74,12 +73,6 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 		return fmt.Errorf("lane ready beacon: %w", err)
 	}
 
-	node := -1
-	if v := os.Getenv(envShmNode); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			node = n
-		}
-	}
 	opts := ctrlOptions{
 		readAhead:   m.Params["readahead"] != "false",
 		writeBehind: m.Params["writebehind"] == "true",
@@ -88,47 +81,42 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 	lanes := make(map[uint16]*laneStreams)
 	var wg sync.WaitGroup
 	cmd := seg.Cmd()
-	// The intake loop is the segment's single command consumer; pinning it
-	// to the segment's node keeps its cursor and payload reads on-package.
-	shm.PinConsumer(node, func() {
-		for {
-			err := cmd.Drain(func(lane uint16, kind shm.RecordKind, payload []byte) {
-				l := lanes[lane]
-				if kind == shm.RecordEOS {
-					// Session gone. End the lane's streams; its server
-					// finishes and answers with the reply-EOS that lets the
-					// parent reuse the lane. A lane that never started gets
-					// the reply-EOS directly, so it cannot park in draining
-					// forever.
-					if l != nil {
-						l.closeBoth()
-						delete(lanes, lane)
-					} else {
-						seg.Reply().SendEOS(lane)
-					}
-					return
+	for {
+		err := cmd.Drain(func(lane uint16, kind shm.RecordKind, payload []byte) {
+			l := lanes[lane]
+			if kind == shm.RecordEOS {
+				// Session gone. End the lane's streams; its server finishes
+				// and answers with the reply-EOS that lets the parent reuse
+				// the lane. A lane that never started gets the reply-EOS
+				// directly, so it cannot park in draining forever.
+				if l != nil {
+					l.closeBoth()
+					delete(lanes, lane)
+				} else {
+					seg.Reply().SendEOS(lane)
 				}
-				if l == nil {
-					l = &laneStreams{cmdQ: newByteQueue(), dataQ: newByteQueue()}
-					lanes[lane] = l
-					wg.Add(1)
-					go func(lane uint16, l *laneStreams) {
-						defer wg.Done()
-						serveLane(seg, lane, l, openProgram, opts)
-					}(lane, l)
-				}
-				switch kind {
-				case shm.RecordFrame:
-					l.cmdQ.write(payload)
-				case shm.RecordData:
-					l.dataQ.write(payload)
-				}
-			})
-			if err != nil {
-				return // segment closed: parent drained the plane or died
+				return
 			}
+			if l == nil {
+				l = &laneStreams{cmdQ: newByteQueue(), dataQ: newByteQueue()}
+				lanes[lane] = l
+				wg.Add(1)
+				go func(lane uint16, l *laneStreams) {
+					defer wg.Done()
+					serveLane(seg, lane, l, openProgram, opts)
+				}(lane, l)
+			}
+			switch kind {
+			case shm.RecordFrame:
+				l.cmdQ.write(payload)
+			case shm.RecordData:
+				l.dataQ.write(payload)
+			}
+		})
+		if err != nil {
+			break // segment closed: parent drained the plane or died
 		}
-	})
+	}
 	for _, l := range lanes {
 		l.closeBoth()
 	}

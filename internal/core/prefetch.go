@@ -299,3 +299,19 @@ func (p *prefetcher) invalidate() {
 	p.data = nil
 	p.mu.Unlock()
 }
+
+// quiesce waits for an in-flight fill to land, so the caller can close the
+// layer below without cutting a fill off mid-exchange. The caller must keep
+// further reads out (Handle.Close holds every operation off the transport),
+// or a later read could start another fill.
+func (p *prefetcher) quiesce() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	filling, done := p.filling, p.fillDone
+	p.mu.Unlock()
+	if filling {
+		<-done
+	}
+}

@@ -474,7 +474,7 @@ func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
 // directions, both processes — the counters live in the shared segment) and
 // response frames decoded per receive wakeup on the mux.
 func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
-	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe", NumaNode: -1}
+	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe"}
 	switch {
 	case t.lane != nil:
 		// Shared segment: counters and descriptors are per segment, not per
@@ -490,7 +490,6 @@ func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
 		s.SegmentSessions = claimed + draining
 		s.SegmentFDs = 5 // segment file + four doorbells
 		s.DoorbellFDs = 4
-		s.NumaNode = ls.node
 	case t.seg != nil:
 		s.Carrier = "shm"
 		for _, r := range t.seg.Rings() {
@@ -652,6 +651,9 @@ func (t *procCtlTransport) control(req []byte) ([]byte, error) {
 }
 
 func (t *procCtlTransport) close() error {
+	// A read-ahead fill still in flight would otherwise send its request
+	// after OpClose, onto rings the sentinel has already closed.
+	t.pf.quiesce()
 	t.closing.Store(true)
 	resp, rtErr := t.roundTrip(&wire.Request{Op: wire.OpClose}, nil)
 	t.mux.Close()

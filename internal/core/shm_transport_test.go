@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -95,6 +97,41 @@ func TestShmTransportPipelined(t *testing.T) {
 	}
 	if err := tr.close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestShmCloseQuiescesReadAhead: a read at offset 0 starts an asynchronous
+// read-ahead fill, and a Close right behind it must let that fill land
+// instead of closing the rings under it.
+func TestShmCloseQuiescesReadAhead(t *testing.T) {
+	requireShm(t)
+	path := filepath.Join(t.TempDir(), "file.af")
+	if err := vfs.Create(path, vfs.Manifest{
+		Program: vfs.ProgramSpec{Name: "passthrough"},
+		Cache:   "memory",
+		Params:  map[string]string{"transport": "shm"},
+	}); err != nil {
+		t.Fatalf("vfs.Create: %v", err)
+	}
+	if err := os.WriteFile(vfs.DataPath(path), bytes.Repeat([]byte("0123456789abcdef"), 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A race-enabled sentinel sleeps a second at exit by default, which
+	// would stretch the loop to a quarter of an hour under -race.
+	t.Setenv("GORACE", "atexit_sleep_ms=0")
+	buf := make([]byte, 4096)
+	for i := 0; i < 1000; i++ {
+		h, err := Open(path, Options{Strategy: StrategyProcCtl})
+		if err != nil {
+			t.Fatalf("round %d: Open: %v", i, err)
+		}
+		if _, err := h.ReadAt(buf, 0); err != nil {
+			h.Close()
+			t.Fatalf("round %d: ReadAt: %v", i, err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", i, err)
+		}
 	}
 }
 

@@ -233,6 +233,7 @@ func (t *threadTransport) control(req []byte) ([]byte, error) {
 }
 
 func (t *threadTransport) close() error {
+	t.pf.quiesce()
 	resp, release, callErr := t.call(&wire.Request{Op: wire.OpClose})
 	t.rv.Close()
 	t.wg.Wait() // join every sentinel worker before returning

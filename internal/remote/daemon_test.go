@@ -152,6 +152,28 @@ func TestTenantBackpressureNeverDeadlocks(t *testing.T) {
 	}
 }
 
+// TestSerialClientNeverRefusedByOwnCharge: a client that waits for each
+// reply before sending the next request has at most one operation in
+// flight, so a MaxInFlight of 1 must never refuse it. The admission charge
+// has to be released before the reply that lets the client continue.
+func TestSerialClientNeverRefusedByOwnCharge(t *testing.T) {
+	faultinject.LeakCheck(t)
+	srv, addr := startTenantServer(t, daemon.Quotas{MaxInFlight: 1}, "acme/obj")
+	defer srv.Close()
+
+	c, err := DialWith(addr, "acme/obj", DialOptions{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 4)
+	for i := 0; i < 2000; i++ {
+		if _, err := c.ReadAt(buf, int64(i%8)); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+}
+
 // TestGracefulDrain: shutdown with an operation in flight lets it finish
 // and flush, answers later requests with the typed wire.ErrShuttingDown,
 // and leaves no goroutine behind. This pins the lifecycle bug where Close

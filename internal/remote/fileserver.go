@@ -619,8 +619,8 @@ func (s *FileServer) serveConn(conn net.Conn) {
 			if resp.Status == wire.StatusOK {
 				resp.Status = wire.StatusError
 			}
-			respond(&resp)
 			settle()
+			respond(&resp)
 			return
 		}
 		// Pace data-moving operations against the configured bandwidth cap;
@@ -781,8 +781,13 @@ func (s *FileServer) serveConn(conn net.Conn) {
 		default:
 			resp.Status = wire.StatusUnsupported
 		}
+		// The admission charge is released before the reply ships, so a
+		// client holding its reply never finds its own operation still
+		// counted against the tenant's bound; recorded latency ends at the
+		// answer. The drain count (inflightOps) still runs to the flush, and
+		// the pooled read buffer must outlive it.
+		settle()
 		respond(&resp)
-		settle() // latency includes the reply flush
 		release()
 	}
 
@@ -844,8 +849,8 @@ func (s *FileServer) serveConn(conn net.Conn) {
 				if resp.Status == wire.StatusOK {
 					resp.Status = wire.StatusError
 				}
-				respond(&resp)
 				settleOpen()
+				respond(&resp)
 				newSess.Close()
 				s.inflightOps.Add(-1)
 				continue
@@ -863,8 +868,8 @@ func (s *FileServer) serveConn(conn net.Conn) {
 				if resp.Status == wire.StatusOK {
 					resp.Status = wire.StatusError
 				}
-				respond(&resp)
 				settleOpen()
+				respond(&resp)
 				newSess.Close()
 				s.inflightOps.Add(-1)
 				continue
@@ -874,8 +879,8 @@ func (s *FileServer) serveConn(conn net.Conn) {
 				sess.Close() // release the previous binding's slot on rebind
 				sess = newSess
 			}
-			respond(&resp)
 			settleOpen()
+			respond(&resp)
 			s.inflightOps.Add(-1)
 
 		case wire.OpLeaseAck:

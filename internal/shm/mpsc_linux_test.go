@@ -370,31 +370,6 @@ func TestMPSCFDBudget(t *testing.T) {
 	}
 }
 
-// TestNumaPlacementHarmless checks the placement layer degrades to no-ops on
-// hosts without a multi-node topology (this is most CI) and never errors the
-// data path.
-func TestNumaPlacementHarmless(t *testing.T) {
-	nodes := NumaNodes()
-	t.Logf("numa nodes with cpus: %v", nodes)
-	seg, err := NewMPSC(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	node := -1
-	if len(nodes) > 0 {
-		node = nodes[0]
-	}
-	if node >= 0 {
-		t.Logf("PlaceSegment(%d) = %v", node, seg.PlaceSegment(node))
-	}
-	ran := false
-	PinConsumer(node, func() { ran = true })
-	if !ran {
-		t.Fatal("PinConsumer did not run fn")
-	}
-}
-
 // TestMPSCTornAdoption closes a segment while producers and the consumer are
 // mid-operation — the torn-adoption teardown drill extended to concurrent
 // producers: everything must unwind without touching unmapped memory.

@@ -73,5 +73,4 @@ func (s *MPSCSegment) ClaimLane() (uint16, bool)           { return 0, false }
 func (s *MPSCSegment) ReleaseLane(lane uint16)             {}
 func (s *MPSCSegment) QuiesceLane(lane uint16)             {}
 func (s *MPSCSegment) LaneCounts() (claimed, draining int) { return 0, 0 }
-func (s *MPSCSegment) PlaceSegment(node int) bool          { return false }
 func (s *MPSCSegment) Close() error                        { return nil }

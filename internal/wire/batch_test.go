@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -314,4 +315,31 @@ func (l *lockedBuffer) bytes() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]byte(nil), l.buf.Bytes()...)
+}
+
+func TestSpliceRefs(t *testing.T) {
+	cases := []struct {
+		name string
+		buf  string
+		refs []payloadRef
+		want []string
+	}{
+		{"empty", "", nil, nil},
+		{"inline only", "abcdef", nil, []string{"abcdef"}},
+		{"ref mid", "abcd", []payloadRef{{pos: 2, data: []byte("XY")}}, []string{"ab", "XY", "cd"}},
+		{"ref at start", "abcd", []payloadRef{{pos: 0, data: []byte("XY")}}, []string{"XY", "abcd"}},
+		{"ref at end", "abcd", []payloadRef{{pos: 4, data: []byte("XY")}}, []string{"abcd", "XY"}},
+		{"adjacent refs", "ab", []payloadRef{{pos: 2, data: []byte("X")}, {pos: 2, data: []byte("Y")}},
+			[]string{"ab", "X", "Y"}},
+	}
+	for _, tc := range cases {
+		segs := spliceRefs([]byte(tc.buf), tc.refs)
+		var got []string
+		for _, s := range segs {
+			got = append(got, string(s))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: spliceRefs = %q, want %q", tc.name, got, tc.want)
+		}
+	}
 }

@@ -8,9 +8,9 @@ import (
 
 // This file holds the syscall-economy seams of the framed protocol: the
 // send side's flush-coalescing hook (FlushCoalescer, driven by BatchWriter)
-// and the receive side's drain-mode buffer (DrainReader). Together they are
-// the io_uring discipline applied at the frame layer — batch submissions,
-// suppress redundant wakeups, drain everything available per wakeup.
+// and the receive side's drain-mode buffer (DrainReader). Together they batch
+// submissions, suppress redundant wakeups, and drain everything available
+// per wakeup.
 
 // FlushCoalescer is implemented by writers that can defer their peer-wakeup
 // decision across a group of writes — the shared-memory ring, which rings
