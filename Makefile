@@ -29,7 +29,7 @@ race:
 		./internal/daemon ./internal/remote ./cmd/afd
 	$(GO) test -race -count=1 -run 'Fleet|Lease|Refusal|Map' \
 		./internal/fleet ./internal/remote ./internal/cache
-	$(GO) test -race -count=1 -run 'MPSC|Lane' \
+	$(GO) test -race -count=1 -run 'MPSC|Lane|Ring|Flush' \
 		./internal/shm ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind

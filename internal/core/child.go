@@ -48,6 +48,10 @@ func runChild() error {
 	if err != nil {
 		return fmt.Errorf("load manifest: %w", err)
 	}
+	o, err := parseSessionOptions(m)
+	if err != nil {
+		return err
+	}
 	program, err := LookupProgram(m.Program.Name)
 	if err != nil {
 		return err
@@ -79,92 +83,64 @@ func runChild() error {
 			return errors.New("sentinel control pipe not inherited")
 		}
 		if os.Getenv(envShmLanes) != "" {
-			// Shared-segment sentinel: serve every lane of the inherited
-			// MPSC segment, each lane running the standard control loop
-			// against its own handler instance.
-			return runLaneChild(m, openProgram, out, ctrl)
-		}
-		opts := ctrlOptions{
-			readAhead:   m.Params["readahead"] != "false",
-			writeBehind: m.Params["writebehind"] == "true",
-		}
-		// Frame carriers. On the pipe transport, commands arrive on the
-		// control pipe and responses leave on the data-out pipe. When the
-		// parent announces a shared-memory segment, both streams move to the
-		// rings; the control pipe goes quiet and is repurposed as a parent
-		// liveness watchdog, and the data pipes keep carrying write payloads
-		// (in) and the warm-pool ready beacon (out).
-		cmds := io.Reader(ctrl)
-		resps := io.Writer(out)
-		if os.Getenv(envShm) != "" {
-			seg, err := attachChildSegment()
-			if err != nil {
-				return err
-			}
-			defer seg.Close()
-			cmds = seg.Cmd()
-			resps = seg.Reply()
-			watchParentViaCtrl(ctrl, seg)
+			// Lane sentinel: serve every lane of the inherited segment, each
+			// lane running the standard control loop against its own
+			// handler instance.
+			return runLaneChild(openProgram, ctrl, o)
 		}
 		// Drain-mode intake: one read syscall per wakeup pulls every command
-		// frame the channel has ready (rings pass through — they drain
-		// without syscalls). Wrapped exactly once, HERE, so the pool
-		// handshake below and serveControl decode from the same buffer; a
-		// second wrapper would strand buffered frames in the first.
-		cmds, _ = wire.WrapDrain(cmds)
+		// frame the control pipe has ready. Wrapped exactly once, HERE, so
+		// the pool handshake below and serveControl decode from the same
+		// buffer; a second wrapper would strand buffered frames in the first.
+		cmds, _ := wire.WrapDrain(ctrl)
 		var handler Handler
 		if os.Getenv(envPooled) != "" {
-			// Warm-pool child: the program opens only when a parent adopts
-			// this sentinel, announced by an OpOpen rebind on the command
-			// stream. A clean EOF instead means the pool drained us unused.
-			handler, err = awaitPoolHandshake(cmds, out, resps, openProgram)
+			// Warm-pool child. The ready beacon (Seq 0) tells the pool this
+			// child has booted; the pool consumes it before parking the
+			// entry, so an adoption's handshake latency is a pipe round
+			// trip, never the tail of exec+runtime-init. The program opens
+			// only when a parent adopts this sentinel with OpOpen; a clean
+			// EOF instead means the pool drained us unused.
+			if err := wire.NewWriter(out).WriteResponse(&wire.Response{Status: wire.StatusOK}); err != nil {
+				return fmt.Errorf("pool ready beacon: %w", err)
+			}
+			handler, err = answerOpen(cmds, out, openProgram)
 			if err != nil || handler == nil {
 				return err
 			}
-		} else {
-			if handler, err = openProgram(); err != nil {
-				return err
-			}
+		} else if handler, err = openProgram(); err != nil {
+			return err
 		}
-		return serveControl(handler, in, resps, cmds, opts)
+		return serveControl(handler, in, out, cmds, o)
 	default:
 		return fmt.Errorf("strategy %v cannot run as a subprocess", strategy)
 	}
 }
 
-// awaitPoolHandshake parks a warm-pool sentinel until the adopting parent
-// sends its OpOpen rebind on the command stream, then opens the program and
-// answers on the response stream with the outcome. It returns (nil, nil)
-// when the command stream reaches EOF first — the pool retired this
-// sentinel unused, a clean exit. beacon is where the ready announcement
-// goes: always the data-out pipe, even when the session frames ride shm
-// rings, because the pool's readiness wait uses a pipe read deadline to
-// bound a child that never boots.
-func awaitPoolHandshake(ctrl io.Reader, beacon, out io.Writer, open func() (Handler, error)) (Handler, error) {
-	// Ready beacon (Seq 0): tells the pool this child has booted and is
-	// parked on the control channel. The pool consumes it before parking the
-	// entry, so an adoption's handshake latency is a pipe round trip, never
-	// the tail of exec+runtime-init.
-	if err := wire.NewWriter(beacon).WriteResponse(&wire.Response{Status: wire.StatusOK}); err != nil {
-		return nil, fmt.Errorf("pool ready beacon: %w", err)
-	}
-	resps := wire.NewWriter(out)
-	// A fresh frame reader is safe here: wire.Reader never reads ahead of the
-	// current frame, so serveControl's own reader picks up at the next frame
-	// boundary after the handshake.
-	reqs := wire.NewReader(ctrl)
+// answerOpen serves the OpOpen handshake that binds a running sentinel — a
+// warm-pool child or a lane server — to its session: it reads the first
+// request from cmds, opens the program, and answers on resps with the
+// outcome. It returns (nil, nil) when cmds ends before any request — the
+// sentinel was retired unused. A fresh frame reader is safe here:
+// wire.Reader never reads ahead of the current frame, so serveControl's own
+// reader picks up at the next frame boundary after the handshake.
+func answerOpen(cmds io.Reader, resps io.Writer, open func() (Handler, error)) (Handler, error) {
+	reqs := wire.NewReader(cmds)
 	req, _, err := reqs.ReadRequestHeader()
+	if errors.Is(err, io.EOF) {
+		return nil, nil
+	}
+	if err == nil {
+		err = reqs.DiscardPayload()
+	}
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("pool handshake: %w", err)
+		return nil, fmt.Errorf("open handshake: %w", err)
 	}
-	if err := reqs.DiscardPayload(); err != nil {
-		return nil, fmt.Errorf("pool handshake: %w", err)
-	}
+	w := wire.NewWriter(resps)
 	if req.Op != wire.OpOpen {
-		return nil, fmt.Errorf("pool handshake: unexpected %s before open", req.Op)
+		err := fmt.Errorf("open handshake: unexpected %s before open", req.Op)
+		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError, Msg: err.Error()})
+		return nil, err
 	}
 	handler, oerr := open()
 	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
@@ -174,11 +150,11 @@ func awaitPoolHandshake(ctrl io.Reader, beacon, out io.Writer, open func() (Hand
 			resp.Status = wire.StatusError
 		}
 	}
-	if werr := resps.WriteResponse(&resp); werr != nil {
+	if werr := w.WriteResponse(&resp); werr != nil {
 		if handler != nil {
 			handler.Close()
 		}
-		return nil, fmt.Errorf("pool handshake reply: %w", werr)
+		return nil, fmt.Errorf("open handshake reply: %w", werr)
 	}
 	return handler, oerr
 }
@@ -262,14 +238,6 @@ func serveStream(handler Handler, in io.ReadCloser, out io.WriteCloser) error {
 // next — the server half of the client's Seq-pipelined mux.
 const controlWorkers = 8
 
-// ctrlOptions selects the procctl sentinel's data-path optimizations.
-// Read-ahead defaults on (manifest param "readahead"="false" opts out);
-// write coalescing defaults off (param "writebehind"="true" opts in).
-type ctrlOptions struct {
-	readAhead   bool
-	writeBehind bool
-}
-
 // ctrlServer is the shared state of one serveControl session.
 type ctrlServer struct {
 	d        *dispatcher
@@ -352,7 +320,7 @@ func (s *ctrlServer) serve(req *wire.Request) {
 // following reads without touching the handler on the critical path. With
 // writeBehind, adjacent small writes coalesce into one backing WriteAt,
 // flushed on sync/close barriers and overlapping reads.
-func serveControl(handler Handler, in io.Reader, out io.Writer, ctrl io.Reader, opts ctrlOptions) error {
+func serveControl(handler Handler, in io.Reader, out io.Writer, ctrl io.Reader, opts sessionOptions) error {
 	reqs := wire.NewReader(ctrl)
 	s := &ctrlServer{d: newDispatcher(handler), resps: wire.NewBatchWriter(out, nil)}
 	if opts.writeBehind {

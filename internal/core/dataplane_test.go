@@ -1,23 +1,23 @@
 package core
 
 import (
-	"errors"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/shm"
 	"repro/internal/vfs"
 )
 
-// Tests for the syscall-economy observability surface (PR 7): carrier and
-// fallback reporting through Handle.Stats, the data-plane wakeup counters,
-// warm-adoption epoch advancement, and torn adoption on a shared segment.
+// Tests for the syscall-economy observability surface: carrier and fallback
+// reporting through Handle.Stats, and the data-plane wakeup counters.
 
 func openTestHandle(t *testing.T, params map[string]string) *Handle {
+	t.Helper()
+	return openTestHandleAs(t, StrategyProcCtl, params)
+}
+
+func openTestHandleAs(t *testing.T, strategy Strategy, params map[string]string) *Handle {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "file.af")
 	if err := vfs.Create(path, vfs.Manifest{
@@ -27,7 +27,7 @@ func openTestHandle(t *testing.T, params map[string]string) *Handle {
 	}); err != nil {
 		t.Fatalf("vfs.Create: %v", err)
 	}
-	h, err := Open(path, Options{Strategy: StrategyProcCtl})
+	h, err := Open(path, Options{Strategy: strategy})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -51,49 +51,38 @@ func TestCarrierReportedInStats(t *testing.T) {
 	}
 }
 
-// TestCarrierFallbackReasonPlumbed: the demotion reason recorded at spawn
+// TestCarrierFallbackReasonPlumbed: the demotion reason recorded at open
 // must surface verbatim through carrierInfo — the seam Handle.Stats reads.
-// (Provoking a real allocation failure is not portable, so the plumbing is
-// pinned directly; newSessionSegment's reason strings are covered on
-// platforms where shm compiles out.)
+// (Provoking a real lane failure is not portable, so the plumbing is pinned
+// directly; a real handshake failure is TestLaneBootOutsideHubLock's.)
 func TestCarrierFallbackReasonPlumbed(t *testing.T) {
-	tr := &procCtlTransport{fallback: "segment allocation failed: injected"}
+	tr := &procCtlTransport{fallback: "lane segment spawn failed: injected"}
 	carrier, reason := tr.carrierInfo()
-	if carrier != "pipe" || reason != "segment allocation failed: injected" {
+	if carrier != "pipe" || reason != "lane segment spawn failed: injected" {
 		t.Fatalf("carrierInfo = %q/%q", carrier, reason)
 	}
 
-	// A session that did get its segment reports shm — and still surfaces a
-	// recorded demotion reason (a lane→dedicated fallback lands exactly so).
-	seg, err := shm.New(0, 0)
-	if err != nil {
-		t.Skipf("shm.New: %v", err)
-	}
-	defer seg.Close()
-	trShm := &procCtlTransport{seg: seg}
+	// A session that got its lane reports shm with no reason.
+	trShm := &procCtlTransport{lane: &laneConn{}}
 	if carrier, reason := trShm.carrierInfo(); carrier != "shm" || reason != "" {
 		t.Fatalf("shm carrierInfo = %q/%q, want shm with no fallback", carrier, reason)
 	}
-	trShm.fallback = "lane plane: injected"
-	if carrier, reason := trShm.carrierInfo(); carrier != "shm" || reason != "lane plane: injected" {
-		t.Fatalf("demoted shm carrierInfo = %q/%q, want shm with lane demotion reason", carrier, reason)
-	}
 }
 
-// TestNoFallbackReasonForHonoredRequests: newSessionSegment leaves the
-// reason empty when pipes were chosen, not imposed.
+// TestNoFallbackReasonForHonoredRequests: the reason stays empty when pipes
+// were chosen, not imposed, and on strategies that have no control channel
+// to demote.
 func TestNoFallbackReasonForHonoredRequests(t *testing.T) {
 	for _, params := range []map[string]string{nil, {"transport": "pipe"}} {
-		seg, reason, err := newSessionSegment(vfs.Manifest{Params: params}, StrategyProcCtl)
-		if err != nil || seg != nil || reason != "" {
-			t.Fatalf("pipe-by-choice: seg=%v reason=%q err=%v", seg, reason, err)
+		if s := openTestHandle(t, params).Stats(); s.Carrier != "pipe" || s.CarrierFallback != "" {
+			t.Fatalf("pipe-by-choice %v: carrier %q, fallback %q", params, s.Carrier, s.CarrierFallback)
 		}
 	}
-	// Non-procctl strategies have no control channel to demote.
-	seg, reason, err := newSessionSegment(
-		vfs.Manifest{Params: map[string]string{"transport": "shm"}}, StrategyProcess)
-	if err != nil || seg != nil || reason != "" {
-		t.Fatalf("process strategy: seg=%v reason=%q err=%v", seg, reason, err)
+	for _, strategy := range []Strategy{StrategyProcess, StrategyThread} {
+		h := openTestHandleAs(t, strategy, map[string]string{"transport": "shm"})
+		if s := h.Stats(); s.Carrier != "" || s.CarrierFallback != "" {
+			t.Fatalf("%v strategy: carrier %q, fallback %q", strategy, s.Carrier, s.CarrierFallback)
+		}
 	}
 }
 
@@ -168,127 +157,5 @@ func TestDataPlaneStatsShm(t *testing.T) {
 	}
 	if ds.Doorbells+ds.Suppressed == 0 {
 		t.Fatal("ring wakeup ledger never moved")
-	}
-}
-
-// TestWarmAdoptionAdvancesEpoch: adopting a pooled shm sentinel must bump
-// the segment's control-region epoch, marking the new binding generation.
-func TestWarmAdoptionAdvancesEpoch(t *testing.T) {
-	if !shm.Supported() {
-		t.Skip("shm transport unsupported on this platform")
-	}
-	t.Cleanup(DrainSentinelPool)
-	params := map[string]string{"transport": "shm", "pool": "1"}
-
-	tr := newTestProcCtl(t, params)
-	if tr.seg.Epoch() != 0 {
-		t.Fatalf("cold spawn epoch = %d, want 0", tr.seg.Epoch())
-	}
-	if err := tr.close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	path := tr.poolPath
-	deadline := time.Now().Add(10 * time.Second)
-	for IdleSentinels(path) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never replenished")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	m, err := vfs.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := newProcCtlTransport(path, m)
-	if err != nil {
-		t.Fatalf("warm open: %v", err)
-	}
-	defer tr2.close()
-	if tr2.seg == nil {
-		t.Fatal("warm adoption lost the segment")
-	}
-	if e := tr2.seg.Epoch(); e < 1 {
-		t.Fatalf("adopted segment epoch = %d, want >= 1", e)
-	}
-}
-
-// TestTornAdoptionClosesSharedSegment is the torn-rebind drill: the warm
-// sentinel is frozen, adoption starts, and the child is killed with the
-// OpOpen handshake in flight on the shared segment. The open must recover
-// by cold-spawning, and the torn segment must come out fully closed — every
-// ring rejecting traffic, mapping released — with no goroutine leaked.
-func TestTornAdoptionClosesSharedSegment(t *testing.T) {
-	if !shm.Supported() {
-		t.Skip("shm transport unsupported on this platform")
-	}
-	faultinject.LeakCheck(t)
-	t.Cleanup(DrainSentinelPool)
-
-	path := filepath.Join(t.TempDir(), "file.af")
-	if err := vfs.Create(path, vfs.Manifest{
-		Program: vfs.ProgramSpec{Name: "passthrough"},
-		Cache:   "memory",
-		Params:  map[string]string{"transport": "shm", "pool": "1"},
-	}); err != nil {
-		t.Fatalf("vfs.Create: %v", err)
-	}
-	if _, err := PrewarmSentinels(path); err != nil {
-		t.Fatalf("PrewarmSentinels: %v", err)
-	}
-	procPool.mu.Lock()
-	warm := procPool.idle[path][0]
-	procPool.mu.Unlock()
-	if warm.seg == nil {
-		t.Fatal("pooled shm sentinel has no segment")
-	}
-
-	// Freeze the child so the rebind handshake is genuinely in flight when
-	// death lands, then open: adoption sends OpOpen into a stopped process.
-	if err := syscall.Kill(warm.cmd.Process.Pid, syscall.SIGSTOP); err != nil {
-		t.Fatalf("SIGSTOP: %v", err)
-	}
-	opened := make(chan error, 1)
-	var h *Handle
-	go func() {
-		var err error
-		h, err = Open(path, Options{Strategy: StrategyProcCtl})
-		opened <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // let the rebind reach the rings
-	if err := syscall.Kill(warm.cmd.Process.Pid, syscall.SIGKILL); err != nil {
-		t.Fatalf("SIGKILL: %v", err)
-	}
-
-	select {
-	case err := <-opened:
-		if err != nil {
-			t.Fatalf("Open after torn adoption: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("open wedged on the torn rebind")
-	}
-	defer h.Close()
-
-	// The torn segment must be closed outright: control region's owner gone,
-	// every ring in the directory rejecting I/O instead of parking forever.
-	deadline := time.Now().Add(5 * time.Second)
-	for !warm.seg.Closed() {
-		if time.Now().After(deadline) {
-			t.Fatal("torn segment never closed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for i, r := range warm.seg.Rings() {
-		if _, err := r.Write([]byte{0}); !errors.Is(err, shm.ErrClosed) {
-			t.Fatalf("ring %d after torn adoption: Write err = %v, want ErrClosed", i, err)
-		}
-	}
-	// Stats must survive the unmap (the detached snapshot), not fault.
-	_ = warm.seg.Cmd().Stats()
-
-	// And the recovered session serves traffic.
-	if _, err := h.WriteAt([]byte("recovered"), 0); err != nil {
-		t.Fatalf("WriteAt on recovered session: %v", err)
 	}
 }

@@ -81,8 +81,9 @@ type Stats struct {
 	Carrier string
 	// CarrierFallback is non-empty exactly when the manifest requested the
 	// shm carrier but the session was demoted to pipes; it records the
-	// one-shot rejection reason (unsupported platform, segment allocation
-	// failure), so the fallback is observable instead of silent.
+	// one-shot rejection reason (unsupported platform, a lane sentinel that
+	// failed to start or answer), so the fallback is observable instead of
+	// silent.
 	CarrierFallback string
 }
 
@@ -123,22 +124,22 @@ func (h *Handle) BatchStats() (wire.BatchStats, bool) {
 }
 
 // DataPlaneStats counts the syscall economy of a session's control channel:
-// how many eventfd doorbells the rings actually rang versus suppressed
+// how many eventfd doorbells the shm queues actually rang versus suppressed
 // (coalesced or peer-running), and how many response frames each receive
-// wakeup delivered. Ring counters live in the shared segment, so they cover
+// wakeup delivered. Queue counters live in the shared segment, so they cover
 // both processes and both directions.
 type DataPlaneStats struct {
 	Carrier         string // "shm" or "pipe"
-	CarrierFallback string // carrier demotion reason (shm→pipe, lane→dedicated), when any
-	Doorbells       uint64 // eventfd doorbells rung, all rings, both sides
+	CarrierFallback string // shm→pipe demotion reason, when any
+	Doorbells       uint64 // eventfd doorbells rung, both queues, both sides
 	Suppressed      uint64 // wakeups avoided (peer running, or coalesced into a flush)
 	RecvFrames      uint64 // response frames the client receive loop decoded
 	RecvWakeups     uint64 // read syscalls that delivered them (0 on shm: no hot-path reads)
 
-	// Descriptor economy of the session's segment. On the shared MPSC lane
-	// plane many sessions split one segment's descriptors; SegmentSessions
-	// says how many ways, so fds-per-session = SegmentFDs / SegmentSessions.
-	// A dedicated segment reports SegmentSessions 1; the pipe carrier, all
+	// Descriptor economy of the session's segment. With shmlanes=N many
+	// sessions split one segment's descriptors; SegmentSessions says how
+	// many ways, so fds-per-session = SegmentFDs / SegmentSessions. A
+	// one-lane segment reports SegmentSessions 1; the pipe carrier, all
 	// zeros.
 	SegmentSessions int // sessions multiplexed on this session's segment (incl. draining)
 	SegmentFDs      int // parent-side descriptors the segment pins (file + doorbells)

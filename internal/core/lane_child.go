@@ -8,20 +8,25 @@ import (
 	"sync"
 
 	"repro/internal/shm"
-	"repro/internal/vfs"
-	"repro/internal/wire"
 )
 
-// The lane sentinel: one child process serving every session multiplexed on
-// a shared MPSC segment. A single intake goroutine drains the command queue
-// and demultiplexes records by lane into per-lane byte queues; each lane
-// then runs the ordinary serveControl loop against its own handler, so the
+// The lane sentinel: one child process serving every session on a lane
+// segment. A single intake goroutine drains the command queue and
+// demultiplexes records by lane into per-lane byte queues; each lane then
+// runs the ordinary serveControl loop against its own handler, so the
 // per-session protocol — barriers, write ordering, deferred errors — is
-// byte-for-byte the one a dedicated sentinel speaks.
+// byte-for-byte the one a pipe sentinel speaks.
 
-// attachChildMPSC maps the shared segment a parent advertised via
-// envShmLanes from the inherited descriptors (same slots as the classic
-// segment: fd 6 plus four doorbells).
+// Child-side descriptor numbers of the inherited segment files, after the
+// three pipes (fds 3, 4, 5): the mapped segment, then the four doorbells in
+// shm.MPSCSegment.ChildFiles order.
+const (
+	childFDShmSeg   = 6
+	childFDShmBells = 7 // four bells: fds 7, 8, 9, 10
+)
+
+// attachChildMPSC maps the segment a parent advertised via envShmLanes from
+// the inherited descriptors.
 func attachChildMPSC() (*shm.MPSCSegment, error) {
 	segFile := os.NewFile(childFDShmSeg, "af-shm-seg")
 	if segFile == nil {
@@ -39,8 +44,8 @@ func attachChildMPSC() (*shm.MPSCSegment, error) {
 }
 
 // laneStreams is one lane's demultiplexed intake: command frames and posted
-// write payloads, split exactly the way a dedicated sentinel sees its
-// control pipe and data-in pipe.
+// write payloads, split exactly the way a pipe sentinel sees its control
+// pipe and data-in pipe.
 type laneStreams struct {
 	cmdQ  *byteQueue
 	dataQ *byteQueue
@@ -52,10 +57,11 @@ func (l *laneStreams) closeBoth() {
 }
 
 // runLaneChild is the sentinel body for a lane-serving child. It attaches
-// the shared segment, announces readiness on the data-out pipe (the same
-// beacon a warm-pool child sends), then demultiplexes the command queue
-// until the parent closes the segment or the watchdog fires.
-func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl *os.File) error {
+// the shared segment, then demultiplexes the command queue until the parent
+// closes the segment or the watchdog fires. It announces nothing: each
+// session's OpOpen handshake, bounded by the parent's handshakeTimeout,
+// proves the child booted.
+func runLaneChild(openProgram func() (Handler, error), ctrl *os.File, o sessionOptions) error {
 	seg, err := attachChildMPSC()
 	if err != nil {
 		return err
@@ -69,14 +75,6 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 		ctrl.Read(buf[:])
 		seg.Close()
 	}()
-	if err := wire.NewWriter(out).WriteResponse(&wire.Response{Status: wire.StatusOK}); err != nil {
-		return fmt.Errorf("lane ready beacon: %w", err)
-	}
-
-	opts := ctrlOptions{
-		readAhead:   m.Params["readahead"] != "false",
-		writeBehind: m.Params["writebehind"] == "true",
-	}
 
 	lanes := make(map[uint16]*laneStreams)
 	var wg sync.WaitGroup
@@ -103,7 +101,7 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 				wg.Add(1)
 				go func(lane uint16, l *laneStreams) {
 					defer wg.Done()
-					serveLane(seg, lane, l, openProgram, opts)
+					serveLane(seg, lane, l, openProgram, o)
 				}(lane, l)
 			}
 			switch kind {
@@ -114,7 +112,7 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 			}
 		})
 		if err != nil {
-			break // segment closed: parent drained the plane or died
+			break // segment closed: parent retired the segment or died
 		}
 	}
 	for _, l := range lanes {
@@ -124,46 +122,18 @@ func runLaneChild(m vfs.Manifest, openProgram func() (Handler, error), out, ctrl
 	return nil
 }
 
-// serveLane runs one session: the OpOpen handshake (mirroring the warm-pool
-// rebind — open the program, answer with the outcome), then the standard
+// serveLane runs one session: the OpOpen handshake, then the standard
 // serveControl loop over the lane's demultiplexed streams, and finally the
 // reply-EOS that marks the lane quiesced. The EOS rides the same producer
 // path as the responses, so it is ordered after every reply of the session.
-func serveLane(seg *shm.MPSCSegment, lane uint16, l *laneStreams, open func() (Handler, error), opts ctrlOptions) {
+func serveLane(seg *shm.MPSCSegment, lane uint16, l *laneStreams, open func() (Handler, error), o sessionOptions) {
 	defer seg.Reply().SendEOS(lane)
 	resps := seg.Reply().Producer(lane, shm.RecordFrame)
-	// A fresh frame reader is safe here for the same reason as the pool
-	// handshake: wire.Reader never reads ahead, so serveControl's own reader
-	// resumes at the next frame boundary.
-	reqs := wire.NewReader(l.cmdQ)
-	req, _, err := reqs.ReadRequestHeader()
-	if err != nil {
-		return // EOF before open: the session was released unused
+	handler, err := answerOpen(l.cmdQ, resps, open)
+	if err != nil || handler == nil {
+		return // released unused, or the open failed and the answer said so
 	}
-	if err := reqs.DiscardPayload(); err != nil {
-		return
-	}
-	w := wire.NewWriter(resps)
-	if req.Op != wire.OpOpen {
-		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError,
-			Msg: fmt.Sprintf("lane handshake: unexpected %s before open", req.Op)})
-		return
-	}
-	handler, oerr := open()
-	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
-	if oerr != nil {
-		resp.Status, resp.Msg = wire.FromError(oerr)
-		if resp.Status == wire.StatusOK {
-			resp.Status = wire.StatusError
-		}
-	}
-	if werr := w.WriteResponse(&resp); werr != nil || oerr != nil {
-		if handler != nil {
-			handler.Close()
-		}
-		return
-	}
-	if err := serveControl(handler, l.dataQ, resps, l.cmdQ, opts); err != nil &&
+	if err := serveControl(handler, l.dataQ, resps, l.cmdQ, o); err != nil &&
 		!errors.Is(err, io.EOF) && !errors.Is(err, shm.ErrClosed) {
 		fmt.Fprintf(os.Stderr, "af lane sentinel: lane %d: %v\n", lane, err)
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func newLaneManifest(t *testing.T, lanes int, extra map[string]string) (string, 
 // demotion: these tests exist to drive the shared plane, not its fallback.
 func openLane(t *testing.T, path string, m vfs.Manifest) *procCtlTransport {
 	t.Helper()
-	tr, err := newProcCtlTransport(path, m)
+	tr, err := newProcCtlTransport(path, m, mustOptions(t, m))
 	if err != nil {
 		t.Fatalf("newProcCtlTransport: %v", err)
 	}
@@ -55,27 +57,6 @@ func openLane(t *testing.T, path string, m vfs.Manifest) *procCtlTransport {
 		t.Fatalf("session fell off the lane plane: %q", tr.fallback)
 	}
 	return tr
-}
-
-// TestShmLanesParam pins lane-count validation and the transport=shm
-// requirement.
-func TestShmLanesParam(t *testing.T) {
-	man := func(params map[string]string) vfs.Manifest { return vfs.Manifest{Params: params} }
-	if n, err := shmLanesParam(man(nil)); n != 0 || err != nil {
-		t.Fatalf("absent shmlanes = %d, %v", n, err)
-	}
-	if n, err := shmLanesParam(man(map[string]string{"shmlanes": "16", "transport": "shm"})); n != 16 || err != nil {
-		t.Fatalf("shmlanes=16 = %d, %v", n, err)
-	}
-	for _, bad := range []string{"0", "-1", "abc", fmt.Sprint(shm.MaxLanes + 1)} {
-		if _, err := shmLanesParam(man(map[string]string{"shmlanes": bad, "transport": "shm"})); err == nil {
-			t.Errorf("shmlanes=%q accepted", bad)
-		}
-	}
-	// Lanes are a sharing discipline for the ring carrier; pipe cannot host them.
-	if _, err := shmLanesParam(man(map[string]string{"shmlanes": "4"})); err == nil {
-		t.Error("shmlanes without transport=shm accepted")
-	}
 }
 
 // TestLaneTransportEndToEnd drives one session over a shared MPSC segment:
@@ -122,7 +103,7 @@ func TestLaneTransportEndToEnd(t *testing.T) {
 // sessions multiplexed on one shared segment must cost the parent exactly
 // one extra segment (five descriptors, four of them doorbells) — O(1) fds
 // per segment, not per session — and everything must return to baseline
-// after the sessions close and the hub drains.
+// once the last session closes.
 func TestLaneSessionsShareSegment(t *testing.T) {
 	requireShm(t)
 	if testing.Short() {
@@ -130,6 +111,7 @@ func TestLaneSessionsShareSegment(t *testing.T) {
 	}
 	base := shm.SnapshotFDs()
 	path, m := newLaneManifest(t, 256, map[string]string{"readahead": "false"})
+	o := mustOptions(t, m)
 
 	const sessions = 256
 	trs := make([]*procCtlTransport, sessions)
@@ -139,7 +121,7 @@ func TestLaneSessionsShareSegment(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := newProcCtlTransport(path, m)
+			tr, err := newProcCtlTransport(path, m, o)
 			if err != nil {
 				errs <- err
 				return
@@ -178,7 +160,6 @@ func TestLaneSessionsShareSegment(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	}
-	DrainSharedSegments()
 	end := shm.SnapshotFDs()
 	if end != base {
 		t.Fatalf("fd gauges did not return to baseline: base %+v, end %+v", base, end)
@@ -239,23 +220,10 @@ func TestLaneSessionCloseDoesNotPoisonSiblings(t *testing.T) {
 	if err := trs[0].close(); err != nil {
 		t.Fatalf("close session 0: %v", err)
 	}
-	// Its lane must come back for a successor on the same segment.
-	deadline := time.Now().Add(5 * time.Second)
-	var succ *procCtlTransport
-	for {
-		tr, err := newProcCtlTransport(path, m)
-		if err != nil {
-			t.Fatalf("successor open: %v", err)
-		}
-		if tr.lane != nil {
-			succ = tr
-			break
-		}
-		tr.close()
-		if time.Now().After(deadline) {
-			t.Fatal("released lane never quiesced for reuse")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// A successor must come up on the same segment.
+	succ := openLane(t, path, m)
+	if succ.lane.ls != trs[1].lane.ls {
+		t.Fatal("successor landed on a new segment")
 	}
 	if _, err := succ.size(); err != nil {
 		t.Fatalf("successor size: %v", err)
@@ -319,13 +287,7 @@ func TestLaneSentinelDeathFansOut(t *testing.T) {
 	}
 
 	// The hub must retire the dead segment and spawn a fresh one.
-	tr, err := newProcCtlTransport(path, m)
-	if err != nil {
-		t.Fatalf("open after death: %v", err)
-	}
-	if tr.lane == nil {
-		t.Fatalf("post-death open fell off the lane plane: %q", tr.fallback)
-	}
+	tr := openLane(t, path, m)
 	if tr.lane.ls == seg {
 		t.Fatal("post-death open landed on the dead segment")
 	}
@@ -394,4 +356,71 @@ func TestLaneTornTeardown(t *testing.T) {
 			t.Fatalf("session %d close hung after drain", i)
 		}
 	}
+}
+
+// TestTornAdoptionClosesSharedSegment is the torn-handshake drill on a
+// shared segment: the lane sentinel is frozen, a second session's OpOpen
+// handshake is in flight on it, and the sentinel is killed. The open must
+// recover on pipes with the reason recorded, and the torn segment must come
+// out fully closed — its queues rejecting traffic, Stats still answering
+// after the unmap — with no goroutine leaked.
+func TestTornAdoptionClosesSharedSegment(t *testing.T) {
+	requireShm(t)
+	faultinject.LeakCheck(t)
+	path, m := newLaneManifest(t, 2, map[string]string{"readahead": "false"})
+	o := mustOptions(t, m)
+	first := openLane(t, path, m)
+	ls := first.lane.ls
+
+	if err := syscall.Kill(ls.cmd.Process.Pid, syscall.SIGSTOP); err != nil {
+		t.Fatalf("SIGSTOP: %v", err)
+	}
+	type result struct {
+		tr  *procCtlTransport
+		err error
+	}
+	opened := make(chan result, 1)
+	go func() {
+		tr, err := newProcCtlTransport(path, m, o)
+		opened <- result{tr, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for claimed, _ := ls.seg.LaneCounts(); claimed < 2; claimed, _ = ls.seg.LaneCounts() {
+		if time.Now().After(deadline) {
+			t.Fatal("second open never claimed its lane")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := syscall.Kill(ls.cmd.Process.Pid, syscall.SIGKILL); err != nil {
+		t.Fatalf("SIGKILL: %v", err)
+	}
+
+	var second result
+	select {
+	case second = <-opened:
+	case <-time.After(30 * time.Second):
+		t.Fatal("open wedged on the torn handshake")
+	}
+	if second.err != nil {
+		t.Fatalf("open after torn handshake: %v", second.err)
+	}
+	if second.tr.lane != nil || !strings.Contains(second.tr.fallback, "lane open handshake") {
+		t.Fatalf("recovered session: lane %v fallback %q, want pipes with the handshake reason",
+			second.tr.lane, second.tr.fallback)
+	}
+	if !ls.seg.Closed() {
+		t.Fatal("torn segment still open")
+	}
+	if _, err := first.lane.frames.Write([]byte{0}); !errors.Is(err, shm.ErrClosed) {
+		t.Fatalf("write on the torn segment: err = %v, want ErrClosed", err)
+	}
+	_ = ls.seg.Cmd().Stats() // must answer from the detach snapshot, not fault
+
+	if _, err := second.tr.writeAt([]byte("recovered"), 0); err != nil {
+		t.Fatalf("writeAt on recovered session: %v", err)
+	}
+	if err := second.tr.close(); err != nil {
+		t.Fatalf("close recovered session: %v", err)
+	}
+	first.close()
 }

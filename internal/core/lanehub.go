@@ -4,65 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ipc"
 	"repro/internal/shm"
 	"repro/internal/vfs"
-	"repro/internal/wire"
 )
 
-// The MPSC lane plane: many sessions of one active file multiplexed onto a
-// single shared-memory segment served by a single sentinel subprocess. The
-// classic shm transport pins one segment, four doorbell eventfds, and one
-// child per session; at fleet scale (hundreds of sessions of the same
-// manifest) that descriptor and process bill dominates. Here the hub hands
-// each new session a lane — a tagged slice of the shared command/reply
-// queues — so a segment's five descriptors and one sentinel serve up to
-// shm.MaxLanes sessions, and a new segment is spawned only when every lane
-// of the existing ones is taken.
-const (
-	// envShmLanes marks a lane-serving sentinel child and carries the lane
-	// count of the segment it must attach (same descriptor slots as envShm).
-	envShmLanes = "AF_SENTINEL_SHM_LANES"
-)
+// The lane plane serves every transport=shm session: a session runs on a
+// lane — a tagged slice of the shared command/reply queues — of a shared-
+// memory segment served by one sentinel subprocess. The hub hands each new
+// session of a manifest a free lane on one of its live segments and spawns a
+// fresh segment and sentinel only when every lane is taken. A segment has
+// shmlanes lanes, one by default: a private carrier and sentinel per
+// session. A segment retires, its sentinel reaped, when its last session
+// closes.
 
-// laneReadyTimeout bounds the wait for a fresh lane sentinel's ready beacon;
-// laneOpenTimeout bounds each session's OpOpen handshake on its lane.
-const (
-	laneReadyTimeout = 5 * time.Second
-	laneOpenTimeout  = 5 * time.Second
-)
-
-// shmLanesParam parses the manifest's lane-plane selection (param
-// "shmlanes"): 0 or absent disables it; 1..shm.MaxLanes multiplexes that
-// many sessions per shared segment. Requires transport=shm — lanes are a
-// sharing discipline for the ring carrier, not a carrier of their own.
-func shmLanesParam(m vfs.Manifest) (int, error) {
-	v := m.Params["shmlanes"]
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 || n > shm.MaxLanes {
-		return 0, fmt.Errorf("core: bad shmlanes param %q (want 1..%d)", v, shm.MaxLanes)
-	}
-	carrier, err := transportParam(m)
-	if err != nil {
-		return 0, err
-	}
-	if carrier != "shm" {
-		return 0, fmt.Errorf("core: shmlanes=%d requires transport=shm", n)
-	}
-	return n, nil
-}
-
-// laneHub is the process-wide registry of shared lane segments, keyed by
+// laneHub is the process-wide registry of live lane segments, keyed by
 // manifest path so sessions of different active files never share a
 // sentinel.
 type laneHub struct {
@@ -74,11 +35,14 @@ var lanePlane = &laneHub{segs: make(map[string][]*laneSegment)}
 
 // acquire hands out one lane: the first free lane of a live segment for this
 // manifest, or a lane of a freshly spawned segment when all are full. The
-// returned reason is non-empty (with nil conn and nil error) when the plane
-// cannot serve and the caller should fall back to a dedicated session.
-func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, string, error) {
+// returned reason is non-empty (with a nil conn) when the plane cannot serve
+// and the caller should fall back to pipes. The hub lock covers only the
+// registry, segment creation and the sentinel's start: the caller's OpOpen
+// handshake is what waits for the sentinel to boot, outside the lock, so
+// opens of other files never queue behind a boot.
+func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, string) {
 	if !shm.Supported() {
-		return nil, "platform does not support shared-memory rings", nil
+		return nil, "platform does not support shared-memory segments"
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -95,81 +59,45 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 	}
 	h.segs[path] = live
 	if conn != nil {
-		return conn, "", nil
+		return conn, ""
 	}
-	ls, err := h.spawnSegment(path, m, lanes)
+	ls, err := spawnLaneSegment(path, m, lanes)
 	if err != nil {
-		return nil, fmt.Sprintf("lane segment spawn failed: %v", err), nil
+		return nil, fmt.Sprintf("lane segment spawn failed: %v", err)
 	}
 	conn = ls.claim()
 	if conn == nil {
 		ls.shutdown()
-		return nil, "fresh lane segment refused its first claim", nil
+		return nil, "fresh lane segment refused its first claim"
 	}
 	h.segs[path] = append(h.segs[path], ls)
-	return conn, "", nil
+	return conn, ""
 }
 
-// spawnSegment creates one shared segment, starts its sentinel child, waits
-// for the ready beacon, and starts the demux loop. Called with the hub lock
-// held: concurrent opens of the same manifest wait for the boot rather than
-// over-spawning children.
-func (h *laneHub) spawnSegment(path string, m vfs.Manifest, lanes int) (*laneSegment, error) {
-	seg, err := shm.NewMPSC(lanes, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	cf, err := ipc.NewChannelFiles(true)
-	if err != nil {
-		seg.Close()
-		return nil, err
-	}
-	fail := func(err error) (*laneSegment, error) {
-		cf.Close()
-		seg.Close()
-		return nil, err
-	}
-	var cmd *exec.Cmd
-	if m.Program.Exec != "" {
-		cmd = exec.Command(m.Program.Exec, m.Program.Args...)
-	} else {
-		self, err := os.Executable()
-		if err != nil {
-			return fail(fmt.Errorf("locate own executable: %w", err))
+// release hands c's lane back. When no session holds a lane on the segment
+// any more, the segment leaves the registry under the hub lock, so no
+// concurrent open can claim on it, and is shut down — its sentinel reaped —
+// before release returns.
+func (h *laneHub) release(c *laneConn) {
+	ls := c.ls
+	h.mu.Lock()
+	ls.release(c)
+	claimed, _ := ls.seg.LaneCounts()
+	retire := claimed == 0
+	if retire {
+		h.segs[ls.path] = slices.DeleteFunc(h.segs[ls.path], func(s *laneSegment) bool { return s == ls })
+		if len(h.segs[ls.path]) == 0 {
+			delete(h.segs, ls.path)
 		}
-		cmd = exec.Command(self)
 	}
-	cmd.Env = append(os.Environ(),
-		envChildMarker+"=1",
-		envManifest+"="+path,
-		envStrategy+"="+StrategyProcCtl.String(),
-		envShmLanes+"="+strconv.Itoa(lanes),
-	)
-	cmd.ExtraFiles = append(cf.ChildFiles(), seg.ChildFiles()...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fail(fmt.Errorf("start lane sentinel: %w", err))
-	}
-	cf.CloseChildEnds()
-
-	ls := &laneSegment{path: path, seg: seg, cf: cf, cmd: cmd}
-	ls.mon = watchChild(cmd, func(waitErr error) {
-		if !ls.closing.Load() {
-			ls.fail(sentinelDeath(waitErr))
-		}
-	})
-	if err := ls.awaitReady(); err != nil {
+	h.mu.Unlock()
+	if retire {
 		ls.shutdown()
-		return nil, err
 	}
-	go ls.demux()
-	return ls, nil
 }
 
-// drain tears down every segment of the hub — idle or not; sessions still
-// open observe the closure as a transport failure. The bench harness and
-// tests call this (via DrainSharedSegments) so shared children and their
-// descriptors do not outlive the run.
+// drain tears down every segment of the hub; sessions still open observe
+// the closure as a transport failure.
 func (h *laneHub) drain() {
 	h.mu.Lock()
 	var all []*laneSegment
@@ -183,7 +111,7 @@ func (h *laneHub) drain() {
 	}
 }
 
-// DrainSharedSegments retires every shared lane segment and reaps their
+// DrainSharedSegments retires every shm lane segment and reaps their
 // sentinel children. Sessions still multiplexed on one fail as if the
 // sentinel died. New opens spawn fresh segments.
 func DrainSharedSegments() { lanePlane.drain() }
@@ -205,26 +133,29 @@ type laneSegment struct {
 	mu      sync.Mutex
 	eos     [shm.MaxLanes]bool // reply-EOS arrived while the lane was still claimed
 	dead    bool
-	deadErr error
 	closing atomic.Bool // suppresses the death hook during deliberate shutdown
 }
 
-// awaitReady consumes the child's boot beacon from the data-out pipe, with a
-// deadline so a child that never boots cannot wedge every open of this
-// manifest behind the hub lock.
-func (ls *laneSegment) awaitReady() error {
-	deadline := ls.cf.FromChild.SetReadDeadline(time.Now().Add(laneReadyTimeout)) == nil
-	resp, err := wire.NewReader(ls.cf.FromChild).ReadResponse()
-	if deadline {
-		ls.cf.FromChild.SetReadDeadline(time.Time{})
-	}
+// spawnLaneSegment creates one shared segment, starts its sentinel child,
+// and starts the demux loop.
+func spawnLaneSegment(path string, m vfs.Manifest, lanes int) (*laneSegment, error) {
+	seg, err := shm.NewMPSC(lanes, 0, 0)
 	if err != nil {
-		return fmt.Errorf("core: lane sentinel never became ready: %w", err)
+		return nil, err
 	}
-	if resp.Seq != 0 || resp.Status != wire.StatusOK {
-		return fmt.Errorf("core: lane sentinel sent %v/%d instead of ready beacon", resp.Status, resp.Seq)
+	cmd, cf, err := spawnSentinel(path, m, StrategyProcCtl, seg)
+	if err != nil {
+		seg.Close()
+		return nil, err
 	}
-	return nil
+	ls := &laneSegment{path: path, seg: seg, cf: cf, cmd: cmd}
+	ls.mon = watchChild(cmd, func(waitErr error) {
+		if !ls.closing.Load() {
+			ls.fail(sentinelDeath(waitErr))
+		}
+	})
+	go ls.demux()
+	return ls, nil
 }
 
 func (ls *laneSegment) isDead() bool {
@@ -321,7 +252,6 @@ func (ls *laneSegment) fail(err error) {
 		return
 	}
 	ls.dead = true
-	ls.deadErr = err
 	var conns []*laneConn
 	for i := range ls.routes {
 		if c := ls.routes[i].Load(); c != nil {
@@ -339,21 +269,20 @@ func (ls *laneSegment) fail(err error) {
 	}
 }
 
-// shutdown is the deliberate teardown (hub drain, failed boot): closing the
-// segment delivers EOF to the child's intake, which exits; the pipes close
-// behind it and the child is reaped.
+// shutdown is the deliberate teardown (last session closed, hub drain,
+// failed boot): closing the segment delivers EOF to the child's intake and
+// closing the pipes trips its watchdog, so it exits and is reaped.
 func (ls *laneSegment) shutdown() {
 	ls.closing.Store(true)
 	ls.fail(errors.New("core: shared lane segment drained"))
 	ls.mon.reap()
 }
 
-// laneConn is one session's conduit over a shared segment — the lane-plane
-// counterpart of shmConn. Command frames and posted write payloads ride the
-// shared command queue as records tagged with the session's lane (the two
-// producers share one flush bracket, so a batch rings one doorbell);
-// responses arrive from the demux loop through the session's private byte
-// queue.
+// laneConn is one session's conduit over a lane segment. Command frames and
+// posted write payloads ride the shared command queue as records tagged with
+// the session's lane (the two producers share one flush bracket, so a batch
+// rings one doorbell); responses arrive from the demux loop through the
+// session's private byte queue.
 type laneConn struct {
 	ls     *laneSegment
 	lane   uint16
@@ -362,7 +291,7 @@ type laneConn struct {
 	respQ  *byteQueue
 	once   sync.Once
 
-	// onFail lets the owning transport poison its mux the moment the shared
+	// onFail lets the owning transport poison its mux the moment the
 	// sentinel dies — the per-session fan-out of the segment's death hook.
 	onFail atomic.Pointer[func(error)]
 }
@@ -378,13 +307,43 @@ func (c *laneConn) setOnFail(f func(error)) { c.onFail.Store(&f) }
 // Close ends the session's tenancy of the lane: an in-band EOS tells the
 // child's lane server to finish (it answers with its own reply-EOS, which
 // quiesces the lane), the response queue releases the mux receive loop, and
-// the lane is handed back to the segment. The shared child is deliberately
-// NOT reaped — it keeps serving every other lane.
+// the lane goes back to the hub, which retires the segment if this was its
+// last session.
 func (c *laneConn) Close() error {
 	c.once.Do(func() {
 		c.ls.seg.Cmd().SendEOS(c.lane) // best-effort; the segment may be dead
 		c.respQ.close(nil)
-		c.ls.release(c)
+		lanePlane.release(c)
 	})
 	return nil
+}
+
+// acquireLaneTransport opens one transport=shm session on a lane. A nil
+// transport with a non-empty reason means the plane could not serve it
+// (unsupported platform, spawn failure, a sentinel that never answered) and
+// the caller falls back to pipes; a non-nil error is the program's own open
+// failure, which a pipe sentinel would report identically.
+func acquireLaneTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, string, error) {
+	conn, reason := lanePlane.acquire(manifestPath, m, o.lanes)
+	if conn == nil {
+		return nil, reason, nil
+	}
+	t := newMuxTransport(conn, o)
+	t.lane, t.mon = conn, conn.ls.mon
+	// Death fan-out: the segment's child monitor reaches this session
+	// through the conduit's onFail hook. If the sentinel died before the
+	// hook was set, the response queue is already closed and the handshake
+	// fails on its EOF instead.
+	conn.setOnFail(t.fail)
+	rtErr, openErr := t.handshake()
+	if rtErr == nil && openErr == nil {
+		return t, "", nil
+	}
+	t.closing.Store(true)
+	t.mux.Close()
+	conn.Close()
+	if rtErr != nil {
+		return nil, fmt.Sprintf("lane open handshake: %v", rtErr), nil
+	}
+	return nil, "", openErr
 }

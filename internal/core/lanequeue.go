@@ -10,8 +10,8 @@ import (
 // lane would otherwise stall every other lane sharing the segment (head-of-
 // line blocking across sessions) — so writes always append and readers block
 // until bytes or closure arrive. The queue is the in-process stand-in for
-// the per-session pipe the classic transport gets from the kernel, with the
-// same EOF-at-close semantics.
+// the per-session pipe a pipe session gets from the kernel, with the same
+// EOF-at-close semantics.
 type byteQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -40,8 +40,10 @@ func (q *byteQueue) write(b []byte) {
 			// Fully drained: reuse the allocation from the start.
 			q.buf = q.buf[:0]
 			q.r = 0
-		} else if q.r > 1<<20 && q.r*2 > len(q.buf) {
-			// Mostly-consumed large buffer: compact instead of growing.
+		} else if q.r*2 > len(q.buf) {
+			// Mostly consumed: compact instead of growing, so a reader that
+			// lags a frame behind keeps the buffer a small multiple of what
+			// it leaves unread.
 			n := copy(q.buf, q.buf[q.r:])
 			q.buf = q.buf[:n]
 			q.r = 0

@@ -1,75 +1,36 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"os/exec"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/ipc"
-	"repro/internal/shm"
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
 
-// The warm sentinel pool removes fork+exec from the procctl open path. A
-// manifest opting in (param "pool"=N) keeps up to N idle pre-spawned
-// sentinels; Open adopts one and rebinds it with a single OpOpen handshake
-// over the already-connected control pipes — a pipe round trip instead of a
-// process launch. The pool replenishes in the background after each take,
-// so steady open/close churn keeps finding warm children.
+// The warm sentinel pool removes fork+exec from the procctl open path of
+// pipe sessions. A manifest opting in (param "pool"=N) keeps up to N idle
+// pre-spawned sentinels; Open adopts one and rebinds it with a single OpOpen
+// handshake over the already-connected control pipes — a pipe round trip
+// instead of a process launch. The pool replenishes in the background after
+// each take, so steady open/close churn keeps finding warm children.
 
-// poolHandshakeTimeout bounds the OpOpen rebind exchange with a warm
-// sentinel. A child that cannot answer within this window is discarded and
-// the open falls back to a cold spawn, so a wedged pool entry can only delay
-// an open, never hang it.
-const poolHandshakeTimeout = 5 * time.Second
-
-// poolParam parses the manifest's warm-pool size (param "pool"; absent or
-// "0" disables pooling).
-func poolParam(m vfs.Manifest) (int, error) {
-	v := m.Params["pool"]
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("core: bad pool param %q", v)
-	}
-	return n, nil
-}
-
-// pooledSentinel is one idle pre-spawned procctl child: started, conduits
-// connected (pipes, plus a mapped shm segment when the manifest selects the
-// ring carrier), program NOT yet opened — it is blocked reading the command
-// stream for the OpOpen handshake (or EOF). Adoption hands the whole
-// conduit set to the transport, so the rebind rides the same rings the
-// session will.
+// pooledSentinel is one idle pre-spawned procctl child: started, pipes
+// connected, program NOT yet opened — it is blocked reading the control
+// pipe for the OpOpen handshake (or EOF).
 type pooledSentinel struct {
-	cmd      *exec.Cmd
-	cf       *ipc.ChannelFiles
-	seg      *shm.Segment // nil on the pipe carrier
-	fallback string       // shm→pipe demotion reason recorded at spawn
-	mon      *childMonitor
+	cmd *exec.Cmd
+	cf  *ipc.ChannelFiles
+	mon *childMonitor
 }
 
-// closeConduits releases the parent-side pipes and, for a ring-carrier
-// entry, the segment. Closing the pipes first matters: a shm child parks on
-// its command ring, and it is the control pipe's EOF — its parent-liveness
-// watchdog — that tells it to close its own segment view and exit.
-func (ps *pooledSentinel) closeConduits() {
-	ps.cf.Close()
-	if ps.seg != nil {
-		ps.seg.Close()
-	}
-}
-
-// shutdown retires an idle sentinel: closing the parent conduit ends
-// delivers EOF, on which a pooled child exits cleanly.
+// shutdown retires an idle sentinel: closing the parent pipe ends delivers
+// EOF, on which a pooled child exits cleanly.
 func (ps *pooledSentinel) shutdown() {
-	ps.closeConduits()
+	ps.cf.Close()
 	ps.mon.reap()
 }
 
@@ -80,7 +41,7 @@ func (ps *pooledSentinel) shutdown() {
 // A child that cannot produce the beacon within the handshake timeout is
 // reported as unusable.
 func (ps *pooledSentinel) awaitReady() error {
-	deadline := ps.cf.FromChild.SetReadDeadline(time.Now().Add(poolHandshakeTimeout)) == nil
+	deadline := ps.cf.FromChild.SetReadDeadline(time.Now().Add(handshakeTimeout)) == nil
 	resp, err := wire.NewReader(ps.cf.FromChild).ReadResponse()
 	if deadline {
 		ps.cf.FromChild.SetReadDeadline(time.Time{})
@@ -121,7 +82,7 @@ func (p *sentinelPool) acquire(path string) *pooledSentinel {
 		q = q[:len(q)-1]
 		p.idle[path] = q
 		if _, dead := ps.mon.exited(); dead {
-			ps.closeConduits() // dead while parked; already reaped by monitor
+			ps.cf.Close() // dead while parked; already reaped by monitor
 			continue
 		}
 		return ps
@@ -184,7 +145,7 @@ func (p *sentinelPool) evict(path string, ps *pooledSentinel) {
 		if cand == ps {
 			p.idle[path] = append(q[:i], q[i+1:]...)
 			p.mu.Unlock()
-			ps.closeConduits()
+			ps.cf.Close()
 			return
 		}
 	}
@@ -223,11 +184,11 @@ func (p *sentinelPool) drain() {
 // announces readiness, and parks on the control channel awaiting its OpOpen
 // rebind.
 func spawnPooled(path string, m vfs.Manifest) (*pooledSentinel, error) {
-	cmd, cf, seg, fallback, err := spawnSentinel(path, m, StrategyProcCtl, envPooled+"=1")
+	cmd, cf, err := spawnSentinel(path, m, StrategyProcCtl, nil, envPooled+"=1")
 	if err != nil {
 		return nil, err
 	}
-	ps := &pooledSentinel{cmd: cmd, cf: cf, seg: seg, fallback: fallback}
+	ps := &pooledSentinel{cmd: cmd, cf: cf}
 	ps.mon = watchChild(cmd, nil)
 	if err := ps.awaitReady(); err != nil {
 		ps.cmd.Process.Kill()
@@ -240,51 +201,19 @@ func spawnPooled(path string, m vfs.Manifest) (*pooledSentinel, error) {
 // acquireWarmTransport tries to adopt a warm sentinel for manifestPath,
 // returning (nil, false) when the pool is empty or the rebind handshake
 // fails — the caller then cold-spawns as usual.
-func acquireWarmTransport(manifestPath string, m vfs.Manifest, opTimeout time.Duration) (*procCtlTransport, bool) {
+func acquireWarmTransport(manifestPath string, o sessionOptions) (*procCtlTransport, bool) {
 	ps := procPool.acquire(manifestPath)
 	if ps == nil {
 		return nil, false
 	}
-	t := &procCtlTransport{
-		cmd:       ps.cmd,
-		cf:        ps.cf,
-		seg:       ps.seg,
-		fallback:  ps.fallback,
-		conn:      sessionConn(ps.cf, ps.seg),
-		mon:       ps.mon,
-		opTimeout: opTimeout,
-	}
-	if t.seg != nil {
-		// New adoption generation: the segment's control-region epoch lets
-		// either side (and post-mortem tests) tell a rebound session from the
-		// pooled spawn it reuses.
-		t.seg.AdvanceEpoch()
-	}
-	t.mux = ipc.NewMuxConn(t.conn)
+	t := newMuxTransport(ipc.PipeConn{CF: ps.cf}, o)
+	t.cmd, t.cf, t.mon = ps.cmd, ps.cf, ps.mon
 	// Hand supervision from the pool to this transport. If the child died in
 	// the instant between acquire and here, the hook fires immediately and
 	// the handshake below fails fast instead of waiting out its timeout.
-	// The adopted segment (if any) travels with the transport, so death
-	// cleanup matches the cold-spawn path: poison, wake, unmap.
-	ps.mon.setOnDeath(func(waitErr error) {
-		if t.closing.Load() {
-			return
-		}
-		t.mux.Fail(sentinelDeath(waitErr))
-		if t.seg != nil {
-			t.seg.Close()
-		}
-	})
-
-	// Rebind: one pipe round trip replaces fork+exec+program-open. The child
-	// opens its program on receipt and answers with the outcome.
-	ctx, cancel := context.WithTimeout(context.Background(), poolHandshakeTimeout)
-	resp, err := t.mux.RoundTripContext(ctx, &wire.Request{Op: wire.OpOpen}, nil)
-	cancel()
-	if err == nil {
-		err = wire.ToError(wire.OpOpen, resp.Status, resp.Msg)
-	}
-	if err != nil {
+	ps.mon.setOnDeath(func(waitErr error) { t.fail(sentinelDeath(waitErr)) })
+	// Rebind: one pipe round trip replaces fork+exec+program-open.
+	if rtErr, openErr := t.handshake(); rtErr != nil || openErr != nil {
 		// Sour entry: discard it and let the caller cold-spawn, which will
 		// also surface any deterministic program-open error properly.
 		t.closing.Store(true)
@@ -293,9 +222,6 @@ func acquireWarmTransport(manifestPath string, m vfs.Manifest, opTimeout time.Du
 		t.cmd.Process.Kill()
 		t.mon.reap()
 		return nil, false
-	}
-	if m.Params["readahead"] != "false" {
-		t.pf = newPrefetcher(t.muxReadAt, true)
 	}
 	return t, true
 }
@@ -309,11 +235,11 @@ func PrewarmSentinels(path string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: prewarm: %w", err)
 	}
-	want, err := poolParam(m)
+	o, err := parseSessionOptions(m)
 	if err != nil {
 		return 0, err
 	}
-	for procPool.idleCount(path) < want {
+	for procPool.idleCount(path) < o.pool {
 		ps, err := spawnPooled(path, m)
 		if err != nil {
 			return procPool.idleCount(path), err

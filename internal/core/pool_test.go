@@ -27,30 +27,6 @@ func createPooledAF(t *testing.T, pool string) string {
 	return path
 }
 
-func TestPoolParam(t *testing.T) {
-	cases := []struct {
-		give    string
-		want    int
-		wantErr bool
-	}{
-		{give: "", want: 0},
-		{give: "0", want: 0},
-		{give: "4", want: 4},
-		{give: "-1", wantErr: true},
-		{give: "two", wantErr: true},
-	}
-	for _, tc := range cases {
-		m := vfs.Manifest{Params: map[string]string{"pool": tc.give}}
-		got, err := poolParam(m)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("poolParam(%q) err = %v, wantErr %v", tc.give, err, tc.wantErr)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("poolParam(%q) = %d, want %d", tc.give, got, tc.want)
-		}
-	}
-}
-
 func TestPrewarmFillsAndDrainEmptiesPool(t *testing.T) {
 	path := createPooledAF(t, "2")
 	defer DrainSentinelPool()

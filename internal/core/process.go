@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +29,21 @@ const (
 	// opening its program until an OpOpen handshake arrives on the control
 	// channel (or exits cleanly on EOF if the pool drains it unused).
 	envPooled = "AF_SENTINEL_POOLED"
+	// envShmLanes marks a sentinel serving the lanes of an inherited shm
+	// segment and carries the segment's lane count.
+	envShmLanes = "AF_SENTINEL_SHM_LANES"
 )
 
-// childWaitTimeout bounds how long Close waits for a sentinel subprocess to
-// exit before killing it.
-const childWaitTimeout = 5 * time.Second
+const (
+	// childWaitTimeout bounds how long Close waits for a sentinel subprocess
+	// to exit before killing it.
+	childWaitTimeout = 5 * time.Second
+	// handshakeTimeout bounds the wait for a running sentinel to answer: a
+	// warm-pool child's ready beacon, and the OpOpen handshake that binds a
+	// warm-pool child or a lane server to a session. A sentinel that cannot
+	// answer in time is discarded, so it can delay an open, never hang it.
+	handshakeTimeout = 5 * time.Second
+)
 
 // ErrSentinelDied reports that the sentinel subprocess backing a session
 // exited while the session was still open — the EIO-class verdict for a
@@ -41,45 +52,25 @@ const childWaitTimeout = 5 * time.Second
 var ErrSentinelDied = errors.New("core: sentinel process died")
 
 // spawnSentinel starts the sentinel subprocess for manifestPath with the
-// pipe layout of the given strategy, plus — when the manifest selects the
-// shm transport and this platform supports it — a shared-memory segment
-// whose files the child inherits after the pipes. The returned segment is
-// nil whenever the session runs on pipes (by default, by platform fallback,
-// or because segment allocation failed); the child learns the outcome via
-// the envShm marker, never by guessing from the manifest. The returned
-// fallback string is non-empty exactly when shm was requested but the
-// session was demoted to pipes, and says why. When the manifest names an
-// external executable it is run directly; otherwise the current binary is
-// re-executed in child mode (the offline substitute for a separate sentinel
-// image). extraEnv entries ("KEY=VALUE") are appended to the child
-// environment.
-func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, extraEnv ...string) (*exec.Cmd, *ipc.ChannelFiles, *shm.Segment, string, error) {
-	seg, fallback, err := newSessionSegment(m, strategy)
-	if err != nil {
-		return nil, nil, nil, "", err
-	}
+// pipe layout of the given strategy. A non-nil seg makes it a lane sentinel:
+// the segment's files follow the pipes and envShmLanes tells the child to
+// serve them. When the manifest names an external executable it is run
+// directly; otherwise the current binary is re-executed in child mode (the
+// offline substitute for a separate sentinel image). extraEnv entries
+// ("KEY=VALUE") are appended to the child environment.
+func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *shm.MPSCSegment, extraEnv ...string) (*exec.Cmd, *ipc.ChannelFiles, error) {
 	cf, err := ipc.NewChannelFiles(strategy == StrategyProcCtl)
 	if err != nil {
-		if seg != nil {
-			seg.Close()
-		}
-		return nil, nil, nil, "", err
+		return nil, nil, err
 	}
-	fail := func(err error) (*exec.Cmd, *ipc.ChannelFiles, *shm.Segment, string, error) {
-		cf.Close()
-		if seg != nil {
-			seg.Close()
-		}
-		return nil, nil, nil, "", err
-	}
-
 	var cmd *exec.Cmd
 	if m.Program.Exec != "" {
 		cmd = exec.Command(m.Program.Exec, m.Program.Args...)
 	} else {
 		self, err := os.Executable()
 		if err != nil {
-			return fail(fmt.Errorf("locate own executable: %w", err))
+			cf.Close()
+			return nil, nil, fmt.Errorf("locate own executable: %w", err)
 		}
 		cmd = exec.Command(self)
 	}
@@ -91,17 +82,18 @@ func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, extra
 	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.ExtraFiles = cf.ChildFiles()
 	if seg != nil {
-		cmd.Env = append(cmd.Env, envShm+"=1")
+		cmd.Env = append(cmd.Env, envShmLanes+"="+strconv.Itoa(seg.Lanes()))
 		// Segment files follow the pipes; unlike pipe ends they are shared,
 		// not paired, so the parent keeps every one of them open.
 		cmd.ExtraFiles = append(cmd.ExtraFiles, seg.ChildFiles()...)
 	}
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return fail(fmt.Errorf("start sentinel process: %w", err))
+		cf.Close()
+		return nil, nil, fmt.Errorf("start sentinel process: %w", err)
 	}
 	cf.CloseChildEnds()
-	return cmd, cf, seg, fallback, nil
+	return cmd, cf, nil
 }
 
 // childMonitor owns the one allowed cmd.Wait call for a sentinel subprocess
@@ -185,20 +177,6 @@ func sentinelDeath(waitErr error) error {
 	return fmt.Errorf("%w: %v", ErrSentinelDied, waitErr)
 }
 
-// opTimeoutParam parses the manifest's per-operation deadline for control
-// exchanges ("optimeout", a Go duration; empty or absent disables it).
-func opTimeoutParam(m vfs.Manifest) (time.Duration, error) {
-	v := m.Params["optimeout"]
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("core: bad optimeout param %q", v)
-	}
-	return d, nil
-}
-
 // processTransport is the client side of the plain process strategy (§4.1):
 // two data pipes, no control channel. Reads pull the next bytes of the
 // sentinel's output stream; writes push onto its input stream; everything
@@ -212,7 +190,7 @@ type processTransport struct {
 var _ transport = (*processTransport)(nil)
 
 func newProcessTransport(manifestPath string, m vfs.Manifest) (*processTransport, error) {
-	cmd, cf, _, _, err := spawnSentinel(manifestPath, m, StrategyProcess)
+	cmd, cf, err := spawnSentinel(manifestPath, m, StrategyProcess, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -268,27 +246,27 @@ func (t *processTransport) close() error {
 }
 
 // procCtlTransport is the client side of the process-plus-control strategy
-// (§4.2): requests travel as commands on the control pipe; read results
-// return as frames on the read pipe; write payloads stream down the write
-// pipe without waiting for completion, exactly the asymmetry Figure 6
-// measures ("writes are issued without waiting for their completion"). The
-// pipe pair is driven through an ipc.Mux, so any number of goroutines keep
-// exchanges in flight concurrently, correlated by Seq rather than lockstep
-// ordering.
+// (§4.2): requests travel as commands on the control channel; read results
+// return as response frames; write payloads stream down the data channel
+// without waiting for completion, exactly the asymmetry Figure 6 measures
+// ("writes are issued without waiting for their completion"). The channels
+// are driven through an ipc.Mux, so any number of goroutines keep exchanges
+// in flight concurrently, correlated by Seq rather than lockstep ordering.
+// They run over a pipe trio (transport=pipe, the default) or over a lane of
+// a shared-memory segment (transport=shm).
 //
 // Failure handling: a childMonitor poisons the mux the instant the sentinel
 // subprocess exits, so every in-flight and future exchange reports
-// ErrSentinelDied promptly instead of blocking on a pipe no one will ever
+// ErrSentinelDied promptly instead of blocking on a channel no one will ever
 // answer. An optional per-operation deadline (manifest param "optimeout")
 // additionally bounds every waiting exchange even while the child is alive
 // but unresponsive.
 type procCtlTransport struct {
-	cmd       *exec.Cmd
-	cf        *ipc.ChannelFiles
-	seg       *shm.Segment  // dedicated shared-memory segment; nil on pipe or lane carriers
-	lane      *laneConn     // shared MPSC lane; nil off the lane plane
-	fallback  string        // why the requested carrier was demoted ("" otherwise)
-	conn      ipc.FrameConn // the session conduit the mux runs over
+	cmd       *exec.Cmd         // the session's own sentinel; nil on a lane
+	cf        *ipc.ChannelFiles // the session's pipes; nil on a lane
+	lane      *laneConn         // the session's shm lane; nil on pipes
+	fallback  string            // why a transport=shm request runs on pipes ("" otherwise)
+	conn      ipc.FrameConn     // the session conduit the mux runs over
 	mux       *ipc.Mux
 	pf        *prefetcher // client-side read-ahead; nil when opted out
 	mon       *childMonitor
@@ -306,150 +284,77 @@ type procCtlTransport struct {
 
 var _ transport = (*procCtlTransport)(nil)
 
-func newProcCtlTransport(manifestPath string, m vfs.Manifest) (*procCtlTransport, error) {
-	opTimeout, err := opTimeoutParam(m)
-	if err != nil {
-		return nil, err
+// newMuxTransport drives a procctl session over conn through a fresh mux.
+func newMuxTransport(conn ipc.FrameConn, o sessionOptions) *procCtlTransport {
+	t := &procCtlTransport{conn: conn, opTimeout: o.opTimeout}
+	t.mux = ipc.NewMuxConn(conn)
+	if o.readAhead {
+		// Client-side window: sequential reads are answered by a memcpy out
+		// of the window while an async fill — pipelined on the mux — keeps
+		// it ahead of the application. This is where the round trip leaves
+		// the per-read critical path entirely.
+		t.pf = newPrefetcher(t.muxReadAt, true)
 	}
-	poolN, err := poolParam(m)
-	if err != nil {
-		return nil, err
-	}
-	lanes, err := shmLanesParam(m)
-	if err != nil {
-		return nil, err
-	}
-	var laneFallback string
-	if lanes > 0 {
-		// Lane plane: multiplex this session onto a shared MPSC segment —
-		// one sentinel and five descriptors serve up to `lanes` sessions of
-		// this manifest. Any plane-level refusal falls back to a dedicated
-		// session below, with the reason surfaced through carrier stats.
-		t, reason, err := acquireLaneTransport(manifestPath, m, opTimeout, lanes)
-		if err != nil {
-			return nil, err
+	return t
+}
+
+func newProcCtlTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, error) {
+	var fallback string
+	if o.transport == "shm" {
+		t, reason, err := acquireLaneTransport(manifestPath, m, o)
+		if t != nil || err != nil {
+			return t, err
 		}
-		if t != nil {
-			return t, nil
-		}
-		laneFallback = "lane plane: " + reason
+		// The lane plane could not serve the session; pipes serve every
+		// session a lane does, and the reason stays visible in the stats.
+		fallback = reason
 	}
-	if poolN > 0 {
+	if o.pool > 0 {
 		// Warm path: adopt a pre-spawned sentinel and rebind it with one
 		// pipe handshake instead of fork+exec. The pool is topped back up
 		// when this session closes, not here — see close().
-		if t, ok := acquireWarmTransport(manifestPath, m, opTimeout); ok {
-			t.poolPath, t.poolM, t.poolN = manifestPath, m, poolN
-			if laneFallback != "" {
-				if t.fallback != "" {
-					t.fallback = laneFallback + "; " + t.fallback
-				} else {
-					t.fallback = laneFallback
-				}
-			}
+		if t, ok := acquireWarmTransport(manifestPath, o); ok {
+			t.fallback = fallback
+			t.poolPath, t.poolM, t.poolN = manifestPath, m, o.pool
 			return t, nil
 		}
 	}
-	cmd, cf, seg, fallback, err := spawnSentinel(manifestPath, m, StrategyProcCtl)
+	cmd, cf, err := spawnSentinel(manifestPath, m, StrategyProcCtl, nil)
 	if err != nil {
 		return nil, err
 	}
-	if laneFallback != "" {
-		// The session runs, but not on the shared plane it asked for; keep
-		// both demotion reasons visible.
-		if fallback != "" {
-			fallback = laneFallback + "; " + fallback
-		} else {
-			fallback = laneFallback
-		}
-	}
-	t := &procCtlTransport{
-		cmd:       cmd,
-		cf:        cf,
-		seg:       seg,
-		fallback:  fallback,
-		conn:      sessionConn(cf, seg),
-		opTimeout: opTimeout,
-		poolPath:  manifestPath,
-		poolM:     m,
-		poolN:     poolN,
-	}
-	t.mux = ipc.NewMuxConn(t.conn)
-	t.mon = watchChild(cmd, func(waitErr error) {
-		if t.closing.Load() {
-			return
-		}
-		// Sentinel death detection: waitpid fired while the session was
-		// open. Fail every blocked and future exchange right now — the
-		// pipes may deliver EOF only much later (or never, for the write
-		// pipe), and nothing should wait to find out. A dead peer also
-		// never rings a doorbell again, so the segment is closed here too:
-		// that wakes the receive loop off its parked ring and unmaps the
-		// memory instead of leaving it pinned for the session's remainder.
-		t.mux.Fail(sentinelDeath(waitErr))
-		if t.seg != nil {
-			t.seg.Close()
-		}
-	})
-	if m.Params["readahead"] != "false" {
-		// Client-side window: sequential reads are answered by a memcpy out
-		// of the window while an async fill — pipelined on the mux — keeps
-		// it ahead of the application. This is where the pipe round trip
-		// leaves the per-read critical path entirely.
-		t.pf = newPrefetcher(t.muxReadAt, true)
-	}
+	t := newMuxTransport(ipc.PipeConn{CF: cf}, o)
+	t.cmd, t.cf, t.fallback = cmd, cf, fallback
+	t.poolPath, t.poolM, t.poolN = manifestPath, m, o.pool
+	// Sentinel death detection: waitpid fired while the session was open.
+	// Fail every blocked and future exchange right now — the pipes may
+	// deliver EOF only much later (or never, for the write pipe), and
+	// nothing should wait to find out.
+	t.mon = watchChild(cmd, func(waitErr error) { t.fail(sentinelDeath(waitErr)) })
 	return t, nil
 }
 
-// acquireLaneTransport opens one session on the shared MPSC lane plane. A
-// nil transport with a non-empty reason means the plane refused (no lanes,
-// spawn failure, unsupported platform) and the caller should fall back to a
-// dedicated session; a non-nil error is a real session error — the program
-// itself refused to open — that a dedicated sentinel would report
-// identically, so no fallback is warranted.
-func acquireLaneTransport(manifestPath string, m vfs.Manifest, opTimeout time.Duration, lanes int) (*procCtlTransport, string, error) {
-	conn, reason, err := lanePlane.acquire(manifestPath, m, lanes)
+// fail poisons every blocked and future exchange with err once the sentinel
+// is gone, unless the session is closing deliberately.
+func (t *procCtlTransport) fail(err error) {
+	if !t.closing.Load() {
+		t.mux.Fail(err)
+	}
+}
+
+// handshake binds an already-running sentinel — a warm-pool child or a lane
+// server — to this session: OpOpen makes it open its program, and the answer
+// carries the outcome. rtErr reports that no answer came within
+// handshakeTimeout (or the sentinel died first); openErr is the program's
+// own open error, which a freshly spawned sentinel would report identically.
+func (t *procCtlTransport) handshake() (rtErr, openErr error) {
+	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
+	defer cancel()
+	resp, err := t.mux.RoundTripContext(ctx, &wire.Request{Op: wire.OpOpen}, nil)
 	if err != nil {
-		return nil, "", err
+		return err, nil
 	}
-	if conn == nil {
-		return nil, reason, nil
-	}
-	t := &procCtlTransport{
-		lane:      conn,
-		conn:      conn,
-		mon:       conn.ls.mon,
-		opTimeout: opTimeout,
-	}
-	t.mux = ipc.NewMuxConn(conn)
-	// Death fan-out: the hub's child monitor reaches this session through
-	// the conduit's onFail hook. If the shared sentinel died before the hook
-	// was set, the response queue is already closed and the handshake below
-	// poisons the mux through its EOF instead.
-	conn.setOnFail(func(err error) {
-		if !t.closing.Load() {
-			t.mux.Fail(err)
-		}
-	})
-	// OpOpen handshake: the lane's server opens its own handler instance and
-	// answers with the outcome — the same rebind a warm-pool adoption runs.
-	ctx, cancel := context.WithTimeout(context.Background(), laneOpenTimeout)
-	resp, rtErr := t.mux.RoundTripContext(ctx, &wire.Request{Op: wire.OpOpen}, nil)
-	cancel()
-	if rtErr != nil {
-		t.mux.Close()
-		conn.Close()
-		return nil, fmt.Sprintf("lane open handshake: %v", rtErr), nil
-	}
-	if oerr := wire.ToError(wire.OpOpen, resp.Status, resp.Msg); oerr != nil {
-		t.mux.Close()
-		conn.Close()
-		return nil, "", oerr
-	}
-	if m.Params["readahead"] != "false" {
-		t.pf = newPrefetcher(t.muxReadAt, true)
-	}
-	return t, "", nil
+	return nil, wire.ToError(wire.OpOpen, resp.Status, resp.Msg)
 }
 
 // batchStats exposes the mux's command-channel flush amortization to
@@ -457,29 +362,25 @@ func acquireLaneTransport(manifestPath string, m vfs.Manifest, opTimeout time.Du
 func (t *procCtlTransport) batchStats() wire.BatchStats { return t.mux.BatchStats() }
 
 // carrierInfo reports which conduit the session actually runs on and, when a
-// requested shm carrier was demoted, the one-shot rejection reason recorded
-// at spawn — surfaced through Handle.Stats so silent fallback is observable.
+// requested shm carrier was demoted to pipes, the one-shot reason recorded
+// at open — surfaced through Handle.Stats so silent fallback is observable.
 func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
-	if t.lane != nil || t.seg != nil {
-		// Ring carrier — dedicated segment or a lane of a shared one. The
-		// fallback slot still reports a lane→dedicated demotion, so an
-		// operator can tell a chosen dedicated segment from a demoted one.
+	if t.lane != nil {
 		return "shm", t.fallback
 	}
 	return "pipe", t.fallback
 }
 
 // dataPlaneStats exposes the session's syscall-economy counters to
-// Handle.DataPlaneStats: doorbells rung vs suppressed on the rings (both
-// directions, both processes — the counters live in the shared segment) and
-// response frames decoded per receive wakeup on the mux.
+// Handle.DataPlaneStats: doorbells rung vs suppressed on the shm queues
+// (both directions, both processes — the counters live in the shared
+// segment) and response frames decoded per receive wakeup on the mux.
 func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
-	s := DataPlaneStats{CarrierFallback: t.fallback, Carrier: "pipe"}
-	switch {
-	case t.lane != nil:
-		// Shared segment: counters and descriptors are per segment, not per
-		// session — SegmentSessions says how many ways they are split.
-		s.Carrier = "shm"
+	s := DataPlaneStats{}
+	s.Carrier, s.CarrierFallback = t.carrierInfo()
+	if t.lane != nil {
+		// Counters and descriptors are per segment, not per session —
+		// SegmentSessions says how many ways they are split.
 		ls := t.lane.ls
 		for _, q := range []*shm.MPSCQueue{ls.seg.Cmd(), ls.seg.Reply()} {
 			qs := q.Stats()
@@ -490,16 +391,6 @@ func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
 		s.SegmentSessions = claimed + draining
 		s.SegmentFDs = 5 // segment file + four doorbells
 		s.DoorbellFDs = 4
-	case t.seg != nil:
-		s.Carrier = "shm"
-		for _, r := range t.seg.Rings() {
-			rs := r.Stats()
-			s.Doorbells += rs.Doorbells
-			s.Suppressed += rs.Suppressed
-		}
-		s.SegmentSessions = 1
-		s.SegmentFDs = 1 + 2*len(t.seg.Rings())
-		s.DoorbellFDs = 2 * len(t.seg.Rings())
 	}
 	rs := t.mux.RecvStatsSnapshot()
 	s.RecvFrames, s.RecvWakeups = rs.Frames, rs.Wakeups
@@ -652,16 +543,17 @@ func (t *procCtlTransport) control(req []byte) ([]byte, error) {
 
 func (t *procCtlTransport) close() error {
 	// A read-ahead fill still in flight would otherwise send its request
-	// after OpClose, onto rings the sentinel has already closed.
+	// after OpClose, onto channels the sentinel has already closed.
 	t.pf.quiesce()
 	t.closing.Store(true)
 	resp, rtErr := t.roundTrip(&wire.Request{Op: wire.OpClose}, nil)
 	t.mux.Close()
 	t.conn.Close()
 	if t.lane != nil {
-		// Lane session: hand the lane back and leave. The shared sentinel
-		// keeps serving every other lane; only the hub (or its death) reaps
-		// it. The close barrier above already settled this session's writes.
+		// Lane session: closing the conduit handed the lane back, and
+		// retired the segment and reaped its sentinel if no other session
+		// holds a lane on it. The close barrier above already settled this
+		// session's writes.
 		if rtErr != nil {
 			if waitErr, dead := t.mon.exited(); dead {
 				return sentinelDeath(waitErr)

@@ -29,7 +29,7 @@ func newTestProcCtl(t *testing.T, params map[string]string) *procCtlTransport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := newProcCtlTransport(path, m)
+	tr, err := newProcCtlTransport(path, m, mustOptions(t, m))
 	if err != nil {
 		t.Fatalf("newProcCtlTransport: %v", err)
 	}
@@ -140,20 +140,6 @@ func TestProcCtlOpTimeoutOnStalledSentinel(t *testing.T) {
 			t.Fatal("session never recovered after sentinel resumed")
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestOpTimeoutParamRejected pins manifest validation of the deadline knob.
-func TestOpTimeoutParamRejected(t *testing.T) {
-	for _, bad := range []string{"soon", "-1s"} {
-		_, err := opTimeoutParam(vfs.Manifest{Params: map[string]string{"optimeout": bad}})
-		if err == nil {
-			t.Errorf("optimeout %q accepted", bad)
-		}
-	}
-	d, err := opTimeoutParam(vfs.Manifest{Params: map[string]string{"optimeout": "1500ms"}})
-	if err != nil || d != 1500*time.Millisecond {
-		t.Errorf("optimeout 1500ms = (%v, %v)", d, err)
 	}
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// requireShm skips on platforms where the ring carrier compiles out.
+// requireShm skips on platforms where the shm carrier compiles out.
 func requireShm(t *testing.T) {
 	t.Helper()
 	if !shm.Supported() {
@@ -21,17 +23,115 @@ func requireShm(t *testing.T) {
 	}
 }
 
-// TestShmTransportEndToEnd drives a real sentinel subprocess over the ring
-// carrier: the session must actually get a segment, and reads, writes,
+// mustOptions parses m's session params, failing the test on a bad one.
+func mustOptions(t *testing.T, m vfs.Manifest) sessionOptions {
+	t.Helper()
+	o, err := parseSessionOptions(m)
+	if err != nil {
+		t.Fatalf("parseSessionOptions: %v", err)
+	}
+	return o
+}
+
+// defaultOptions is what parseSessionOptions returns for a manifest with no
+// session params.
+var defaultOptions = sessionOptions{transport: "pipe", lanes: 1, readAhead: true}
+
+// withOptions returns defaultOptions changed by f.
+func withOptions(f func(*sessionOptions)) sessionOptions {
+	o := defaultOptions
+	f(&o)
+	return o
+}
+
+// optionsCase is one row of a parseSessionOptions table.
+type optionsCase struct {
+	params  map[string]string
+	want    sessionOptions
+	wantErr string // substring of the error; "" expects success
+}
+
+// TestSessionOptions pins the defaults and the data-plane switches.
+func TestSessionOptions(t *testing.T) {
+	checkOptions(t, []optionsCase{
+		{params: nil, want: defaultOptions},
+		{params: map[string]string{"readahead": "false"}, want: withOptions(func(o *sessionOptions) { o.readAhead = false })},
+		{params: map[string]string{"readahead": "true"}, want: defaultOptions},
+		{params: map[string]string{"writebehind": "true"}, want: withOptions(func(o *sessionOptions) { o.writeBehind = true })},
+	})
+}
+
+// TestTransportParam pins the accepted carriers and the rejection of others.
+func TestTransportParam(t *testing.T) {
+	checkOptions(t, []optionsCase{
+		{params: map[string]string{"transport": ""}, want: defaultOptions},
+		{params: map[string]string{"transport": "pipe"}, want: defaultOptions},
+		{params: map[string]string{"transport": "shm"}, want: withOptions(func(o *sessionOptions) { o.transport = "shm" })},
+		{params: map[string]string{"transport": "carrier-pigeon"}, wantErr: `bad transport param "carrier-pigeon"`},
+	})
+}
+
+// TestShmLanesParam pins lane-count validation and the transport=shm
+// requirement.
+func TestShmLanesParam(t *testing.T) {
+	checkOptions(t, []optionsCase{
+		{params: map[string]string{"transport": "shm", "shmlanes": "16"}, want: withOptions(func(o *sessionOptions) { o.transport, o.lanes = "shm", 16 })},
+		{params: map[string]string{"transport": "shm", "shmlanes": "0"}, wantErr: "bad shmlanes param"},
+		{params: map[string]string{"transport": "shm", "shmlanes": "-1"}, wantErr: "bad shmlanes param"},
+		{params: map[string]string{"transport": "shm", "shmlanes": "abc"}, wantErr: "bad shmlanes param"},
+		{params: map[string]string{"transport": "shm", "shmlanes": fmt.Sprint(shm.MaxLanes + 1)}, wantErr: "bad shmlanes param"},
+		// Lanes are a sharing discipline for the shm carrier; pipes cannot host them.
+		{params: map[string]string{"shmlanes": "4"}, wantErr: "shmlanes=4 requires transport=shm"},
+	})
+}
+
+// TestPoolParam pins the warm-pool size knob.
+func TestPoolParam(t *testing.T) {
+	checkOptions(t, []optionsCase{
+		{params: map[string]string{"pool": ""}, want: defaultOptions},
+		{params: map[string]string{"pool": "0"}, want: defaultOptions},
+		{params: map[string]string{"pool": "4"}, want: withOptions(func(o *sessionOptions) { o.pool = 4 })},
+		{params: map[string]string{"pool": "-1"}, wantErr: "bad pool param"},
+		{params: map[string]string{"pool": "two"}, wantErr: "bad pool param"},
+	})
+}
+
+// TestOpTimeoutParamRejected pins manifest validation of the deadline knob.
+func TestOpTimeoutParamRejected(t *testing.T) {
+	checkOptions(t, []optionsCase{
+		{params: map[string]string{"optimeout": "1500ms"}, want: withOptions(func(o *sessionOptions) { o.opTimeout = 1500 * time.Millisecond })},
+		{params: map[string]string{"optimeout": "soon"}, wantErr: "bad optimeout param"},
+		{params: map[string]string{"optimeout": "-1s"}, wantErr: "bad optimeout param"},
+	})
+}
+
+// checkOptions runs parseSessionOptions over each row of cases.
+func checkOptions(t *testing.T, cases []optionsCase) {
+	t.Helper()
+	for _, tc := range cases {
+		got, err := parseSessionOptions(vfs.Manifest{Params: tc.params})
+		switch {
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%v: err = %v, want one containing %q", tc.params, err, tc.wantErr)
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", tc.params, err)
+		case tc.wantErr == "" && got != tc.want:
+			t.Errorf("%v = %+v, want %+v", tc.params, got, tc.want)
+		}
+	}
+}
+
+// TestShmTransportEndToEnd drives a real sentinel subprocess over the shm
+// carrier: the session must actually run on a lane, and reads, writes,
 // size, sync, and close must behave exactly like the pipe path.
 func TestShmTransportEndToEnd(t *testing.T) {
 	requireShm(t)
 	tr := newTestProcCtl(t, map[string]string{"transport": "shm"})
-	if tr.seg == nil {
-		t.Fatal("transport=shm session came up without a segment")
+	if tr.lane == nil {
+		t.Fatalf("transport=shm session came up without a lane: %q", tr.fallback)
 	}
 
-	msg := []byte("ring-carried payload, long enough to be uninlined sometimes")
+	msg := []byte("lane-carried payload, long enough to be uninlined sometimes")
 	if n, err := tr.writeAt(msg, 0); err != nil || n != len(msg) {
 		t.Fatalf("writeAt = %d, %v", n, err)
 	}
@@ -54,7 +154,7 @@ func TestShmTransportEndToEnd(t *testing.T) {
 }
 
 // TestShmTransportPipelined hammers one shm session from many goroutines so
-// exchanges overlap on the rings — the mux pipeline must stay correlated.
+// exchanges overlap on the lane — the mux pipeline must stay correlated.
 func TestShmTransportPipelined(t *testing.T) {
 	requireShm(t)
 	tr := newTestProcCtl(t, map[string]string{"transport": "shm", "readahead": "false"})
@@ -102,7 +202,7 @@ func TestShmTransportPipelined(t *testing.T) {
 
 // TestShmCloseQuiescesReadAhead: a read at offset 0 starts an asynchronous
 // read-ahead fill, and a Close right behind it must let that fill land
-// instead of closing the rings under it.
+// instead of closing the lane under it.
 func TestShmCloseQuiescesReadAhead(t *testing.T) {
 	requireShm(t)
 	path := filepath.Join(t.TempDir(), "file.af")
@@ -135,9 +235,9 @@ func TestShmCloseQuiescesReadAhead(t *testing.T) {
 	}
 }
 
-// TestShmSentinelDeathPoisonsAndUnmaps is the chaos criterion over the ring
+// TestShmSentinelDeathPoisonsAndUnmaps is the chaos criterion over the shm
 // carrier: SIGKILL mid-pipeline must fail every exchange with
-// ErrSentinelDied (no waiter may block on a ring no one will ever ring),
+// ErrSentinelDied (no waiter may block on a queue no one will ever ring),
 // close the segment, and leak no goroutines.
 func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	requireShm(t)
@@ -147,7 +247,7 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	if _, err := tr.size(); err != nil {
 		t.Fatalf("healthy size: %v", err)
 	}
-	if err := tr.cmd.Process.Kill(); err != nil {
+	if err := tr.lane.ls.cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill sentinel: %v", err)
 	}
 
@@ -167,7 +267,7 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 				t.Error("exchange succeeded against a dead sentinel")
 			}
 		case <-deadline:
-			t.Fatal("exchange blocked on the rings after sentinel death")
+			t.Fatal("exchange blocked on the lane after sentinel death")
 		}
 	}
 
@@ -183,13 +283,13 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The death hook must have closed the segment: its rings reject traffic.
-	ringDeadline := time.Now().Add(5 * time.Second)
+	// The death hook must have closed the segment: its queues reject traffic.
+	segDeadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := tr.seg.Cmd().Write([]byte{0}); errors.Is(err, shm.ErrClosed) {
+		if _, err := tr.lane.frames.Write([]byte{0}); errors.Is(err, shm.ErrClosed) {
 			break
 		}
-		if time.Now().After(ringDeadline) {
+		if time.Now().After(segDeadline) {
 			t.Fatal("segment still open after sentinel death")
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -204,73 +304,141 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	}
 }
 
-// TestShmWarmPoolAdoption checks that warm-pool sentinels carry their
-// segment through adoption: the OpOpen rebind and the session both ride the
-// rings, and retiring the pool releases the idle children.
-func TestShmWarmPoolAdoption(t *testing.T) {
+// TestShmCloseRetiresSegment is the lifecycle contract: closing the last
+// session on a segment reaps its sentinel and returns the descriptor gauges
+// to baseline without any hub drain. With shmlanes=2, closing one of two
+// sessions keeps the shared segment serving the other.
+func TestShmCloseRetiresSegment(t *testing.T) {
 	requireShm(t)
-	t.Cleanup(DrainSentinelPool)
-	params := map[string]string{"transport": "shm", "pool": "2"}
+	base := shm.SnapshotFDs()
 
-	// First open is cold (pool empty) and primes the pool at close.
-	tr := newTestProcCtl(t, params)
-	if tr.seg == nil {
-		t.Fatal("cold pooled open came up without a segment")
+	tr := newTestProcCtl(t, map[string]string{"transport": "shm"})
+	if tr.lane == nil {
+		t.Fatalf("transport=shm session came up without a lane: %q", tr.fallback)
 	}
-	if _, err := tr.writeAt([]byte("warm me"), 0); err != nil {
-		t.Fatalf("writeAt: %v", err)
-	}
+	mon := tr.lane.ls.mon
 	if err := tr.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-
-	path := tr.poolPath
-	poolDeadline := time.Now().Add(10 * time.Second)
-	for IdleSentinels(path) == 0 {
-		if time.Now().After(poolDeadline) {
-			t.Fatal("pool never replenished after close")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, dead := mon.exited(); !dead {
+		t.Fatal("close returned before the sentinel was reaped")
+	}
+	if now := shm.SnapshotFDs(); now != base {
+		t.Fatalf("fd gauges after close = %+v, want baseline %+v", now, base)
 	}
 
-	// Second open must adopt a warm shm child and serve over its rings.
-	m, err := vfs.Load(path)
+	path, m := newLaneManifest(t, 2, nil)
+	a, b := openLane(t, path, m), openLane(t, path, m)
+	if a.lane.ls != b.lane.ls {
+		t.Fatal("shmlanes=2 placed two sessions on different segments")
+	}
+	if err := a.close(); err != nil {
+		t.Fatalf("close first: %v", err)
+	}
+	if _, dead := b.mon.exited(); dead {
+		t.Fatal("closing one of two sessions reaped the shared sentinel")
+	}
+	if _, err := b.size(); err != nil {
+		t.Fatalf("surviving session: %v", err)
+	}
+	if now := shm.SnapshotFDs(); now.Segments != base.Segments+1 {
+		t.Fatalf("segments with one session left = %d, want %d", now.Segments, base.Segments+1)
+	}
+	if err := b.close(); err != nil {
+		t.Fatalf("close second: %v", err)
+	}
+	if _, dead := b.mon.exited(); !dead {
+		t.Fatal("closing the last session left the sentinel running")
+	}
+	if now := shm.SnapshotFDs(); now != base {
+		t.Fatalf("fd gauges after both closed = %+v, want baseline %+v", now, base)
+	}
+}
+
+// TestLaneBootOutsideHubLock: the hub lock must not be held while a new
+// sentinel boots. A sentinel that never answers (it reads its control pipe,
+// which the lane plane never writes, so it stays alive until its segment is
+// retired) holds its open in the OpOpen handshake for handshakeTimeout; an
+// open of another file must complete in the meantime.
+func TestLaneBootOutsideHubLock(t *testing.T) {
+	requireShm(t)
+	t.Cleanup(DrainSharedSegments)
+	stuck := filepath.Join(t.TempDir(), "stuck.af")
+	if err := vfs.Create(stuck, vfs.Manifest{
+		Program: vfs.ProgramSpec{Name: "passthrough", Exec: "/bin/sh", Args: []string{"-c", "read x <&5"}},
+		Cache:   "memory",
+		// The fallback pipe session is equally silent; the deadline lets
+		// its close give up on the OpClose answer.
+		Params: map[string]string{"transport": "shm", "optimeout": "100ms"},
+	}); err != nil {
+		t.Fatalf("vfs.Create: %v", err)
+	}
+	m, err := vfs.Load(stuck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := newProcCtlTransport(path, m)
-	if err != nil {
-		t.Fatalf("warm open: %v", err)
+	type result struct {
+		tr  *procCtlTransport
+		err error
 	}
-	if tr2.seg == nil {
-		t.Fatal("warm adoption lost the segment")
-	}
-	if _, err := tr2.size(); err != nil {
-		t.Fatalf("size over adopted rings: %v", err)
-	}
-	if err := tr2.close(); err != nil {
-		t.Fatalf("close adopted: %v", err)
-	}
-}
-
-// TestTransportParam pins carrier-param validation and the pipe default.
-func TestTransportParam(t *testing.T) {
-	for v, want := range map[string]string{"": "pipe", "pipe": "pipe", "shm": "shm"} {
-		got, err := transportParam(vfs.Manifest{Params: map[string]string{"transport": v}})
-		if err != nil || got != want {
-			t.Errorf("transport %q = (%q, %v), want %q", v, got, err, want)
+	o := mustOptions(t, m)
+	first := make(chan result, 1)
+	go func() {
+		tr, err := newProcCtlTransport(stuck, m, o)
+		first <- result{tr, err}
+	}()
+	// Let the first open claim its lane and start waiting on the sentinel.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		lanePlane.mu.Lock()
+		n := len(lanePlane.segs[stuck])
+		lanePlane.mu.Unlock()
+		if n == 1 {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatal("first open never registered its segment")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := transportParam(vfs.Manifest{Params: map[string]string{"transport": "carrier-pigeon"}}); err == nil {
-		t.Error("bogus transport param accepted")
+
+	start := time.Now()
+	tr := newTestProcCtl(t, map[string]string{"transport": "shm"})
+	took := time.Since(start)
+	select {
+	case <-first:
+		t.Fatal("the silent sentinel answered its handshake")
+	default:
 	}
+	if tr.lane == nil {
+		t.Fatalf("second open fell back to pipes: %q", tr.fallback)
+	}
+	if took > handshakeTimeout/2 {
+		t.Fatalf("second open took %v: it queued behind the first open's boot", took)
+	}
+	if err := tr.close(); err != nil {
+		t.Fatalf("close second: %v", err)
+	}
+
+	r := <-first
+	if r.err != nil {
+		t.Fatalf("first open: %v", r.err)
+	}
+	if r.tr.lane != nil || r.tr.fallback == "" {
+		t.Fatalf("first open: lane %v fallback %q, want a pipe fallback with its reason", r.tr.lane, r.tr.fallback)
+	}
+	r.tr.close()
 }
 
-// TestPipeTransportHasNoSegment: the default carrier must not allocate shm.
+// TestPipeTransportHasNoSegment: the default carrier must not take a lane.
 func TestPipeTransportHasNoSegment(t *testing.T) {
+	base := shm.SnapshotFDs()
 	tr := newTestProcCtl(t, nil)
-	if tr.seg != nil {
-		t.Fatal("pipe-carrier session allocated a segment")
+	if tr.lane != nil {
+		t.Fatal("pipe-carrier session took a lane")
+	}
+	if now := shm.SnapshotFDs(); now != base {
+		t.Fatalf("pipe-carrier session mapped shm: %+v, baseline %+v", now, base)
 	}
 	if _, err := tr.size(); err != nil {
 		t.Fatalf("size: %v", err)

@@ -43,17 +43,10 @@ type threadTransport struct {
 
 var _ transport = (*threadTransport)(nil)
 
-// threadOptions selects the thread strategy's data-path optimizations,
-// mirroring the procctl sentinel's ctrlOptions.
-type threadOptions struct {
-	readAhead   bool
-	writeBehind bool
-}
-
 // newThreadTransport starts the sentinel worker pool over handler and
 // returns the connected transport. The workers exit when the transport
 // closes.
-func newThreadTransport(handler Handler, opts threadOptions) *threadTransport {
+func newThreadTransport(handler Handler, opts sessionOptions) *threadTransport {
 	t := &threadTransport{
 		rv: ipc.NewRendezvous[*wire.Request, threadReply](),
 		d:  newDispatcher(handler),

@@ -286,9 +286,9 @@ func TestSnapshotReportsDataPlaneFDs(t *testing.T) {
 	if dp := r.Snapshot().DataPlane; dp != nil {
 		t.Fatalf("idle process reports data-plane fds: %+v", dp)
 	}
-	seg, err := shm.New(0, 0)
+	seg, err := shm.NewMPSC(1, 0, 0)
 	if err != nil {
-		t.Fatalf("shm.New: %v", err)
+		t.Fatalf("shm.NewMPSC: %v", err)
 	}
 	dp := r.Snapshot().DataPlane
 	if dp == nil || dp.Segments < 1 || dp.DoorbellFDs < 1 {

@@ -64,7 +64,7 @@ type muxPending struct {
 // (wire.DrainReader) — one read syscall pulls every byte the channel has
 // ready, and the loop then decodes frame after frame out of the buffer, so
 // N pipelined responses arriving together cost ~1 wakeup instead of N. A
-// self-buffered source (the shm ring) is decoded directly; it already
+// self-buffered source (an shm lane) is decoded directly; it already
 // drains without syscalls.
 type Mux struct {
 	bw *wire.BatchWriter // batching command-frame writer (plus Post payload channel)
@@ -114,7 +114,7 @@ func (m *Mux) BatchStats() wire.BatchStats { return m.bw.Stats() }
 
 // RecvStats snapshots the receive path's wakeup amortization: response
 // frames decoded versus read syscalls that delivered them. Wakeups is zero
-// over a self-buffered source (shm rings), where the receive path makes no
+// over a self-buffered source (shm lanes), where the receive path makes no
 // read syscalls at all on the hot path.
 type RecvStats struct {
 	Frames  uint64 // response frames routed to waiters (or discarded)

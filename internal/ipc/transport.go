@@ -5,7 +5,7 @@ import "io"
 // FrameConn is one endpoint's view of the framed conduit carrying a procctl
 // session: an ordered stream of command frames out to the peer, an ordered
 // stream of response frames back, and a bulk data stream for write payloads.
-// The pipe trio and the shared-memory ring pair both satisfy it, which is
+// The pipe trio and a shared-memory lane both satisfy it, which is
 // what lets the Mux, the batch writer, and the whole failure discipline run
 // identically over either carrier.
 //

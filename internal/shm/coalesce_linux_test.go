@@ -4,51 +4,52 @@ package shm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 )
 
-// Tests for the PR 7 syscall-economy surface: doorbell coalescing
-// (BeginFlush/EndFlush), the shared wakeup counters, and the multi-ring
-// segment layout with its control region.
+// Tests for the syscall-economy surface: doorbell coalescing
+// (BeginFlush/EndFlush), the shared wakeup counters, and the segment layout
+// with its control region.
 
 // TestFlushCoalescingOneDoorbellPerBracket pins the headline property: a
-// bracketed group of N writes wakes a parked reader with at most ONE
+// bracketed group of N writes wakes a parked consumer with at most ONE
 // doorbell, with the other publishes recorded as suppressed.
 func TestFlushCoalescingOneDoorbellPerBracket(t *testing.T) {
 	faultinject.LeakCheck(t)
-	s := newTestSegment(t, 0, 0)
-	r := s.Cmd()
+	s := newTestSegment(t, 1, 0, 0)
+	q := s.Cmd()
+	p := q.Producer(0, RecordFrame)
 
 	const writes = 16
 	got := make(chan []byte, 1)
 	go func() {
 		buf := make([]byte, writes)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(&laneStream{q: q}, buf); err != nil {
 			t.Errorf("read: %v", err)
 			close(got)
 			return
 		}
 		got <- buf
 	}()
-	waitFor(t, func() bool { return r.Stats().Parks >= 1 })
+	waitFor(t, func() bool { return q.Stats().Parks >= 1 })
 
-	before := r.Stats()
-	r.BeginFlush()
+	before := q.Stats()
+	p.BeginFlush()
 	for i := 0; i < writes; i++ {
-		if _, err := r.Write([]byte{byte(i)}); err != nil {
+		if _, err := p.Write([]byte{byte(i)}); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
-	r.EndFlush()
+	p.EndFlush()
 
 	select {
 	case buf := <-got:
@@ -58,10 +59,10 @@ func TestFlushCoalescingOneDoorbellPerBracket(t *testing.T) {
 			}
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("deferred doorbell never woke the parked reader")
+		t.Fatal("deferred doorbell never woke the parked consumer")
 	}
 
-	after := r.Stats()
+	after := q.Stats()
 	if rang := after.Doorbells - before.Doorbells; rang != 1 {
 		t.Fatalf("bracket of %d writes rang %d doorbells, want exactly 1", writes, rang)
 	}
@@ -71,17 +72,19 @@ func TestFlushCoalescingOneDoorbellPerBracket(t *testing.T) {
 }
 
 // TestFlushBracketFullRingDoesNotDeadlock is the liveness hazard the
-// coalescer must dodge: mid-bracket, the writer fills the ring while the
-// reader is parked awaiting a doorbell the bracket is deferring. Write's
-// ring-full path must surface the pending wake before parking for space.
+// coalescer must dodge: mid-bracket, the producer fills the queue while the
+// consumer is parked awaiting a doorbell the bracket is deferring. The
+// queue-full path must surface the pending wake before parking for space.
 func TestFlushBracketFullRingDoesNotDeadlock(t *testing.T) {
 	faultinject.LeakCheck(t)
-	s := newTestSegment(t, minRingBytes, minRingBytes)
-	r := s.Cmd()
+	s := newTestSegment(t, 1, minRingBytes, minRingBytes)
+	q := s.Cmd()
+	p := q.Producer(0, RecordFrame)
 
 	const total = 4 * minRingBytes
 	readerDone := make(chan error, 1)
 	go func() {
+		r := &laneStream{q: q}
 		buf := make([]byte, 512)
 		seen := 0
 		for seen < total {
@@ -94,15 +97,15 @@ func TestFlushBracketFullRingDoesNotDeadlock(t *testing.T) {
 		}
 		readerDone <- nil
 	}()
-	waitFor(t, func() bool { return r.Stats().Parks >= 1 })
+	waitFor(t, func() bool { return q.Stats().Parks >= 1 })
 
 	done := make(chan error, 1)
 	go func() {
-		r.BeginFlush()
-		defer r.EndFlush()
-		// Far larger than capacity: the writer must park for space at least
-		// once while the bracket is open.
-		_, err := r.Write(make([]byte, total))
+		p.BeginFlush()
+		defer p.EndFlush()
+		// Far larger than capacity: the producer must park for space at
+		// least once while the bracket is open.
+		_, err := p.Write(make([]byte, total))
 		done <- err
 	}()
 
@@ -112,7 +115,7 @@ func TestFlushBracketFullRingDoesNotDeadlock(t *testing.T) {
 			t.Fatalf("bracketed over-capacity write: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("writer deadlocked mid-bracket on a full ring (lost wakeup)")
+		t.Fatal("producer deadlocked mid-bracket on a full queue (lost wakeup)")
 	}
 	if err := <-readerDone; err != nil {
 		t.Fatalf("reader: %v", err)
@@ -131,8 +134,9 @@ func TestRingWakeupLiveness(t *testing.T) {
 		total  = 64 * 1024
 	)
 	for round := 0; round < rounds; round++ {
-		s := newTestSegment(t, minRingBytes, minRingBytes)
-		r := s.Reply()
+		s := newTestSegment(t, 1, minRingBytes, minRingBytes)
+		q := s.Reply()
+		p := q.Producer(0, RecordFrame)
 		rng := rand.New(rand.NewSource(int64(round) * 7919))
 		seed := rng.Int63()
 
@@ -147,16 +151,13 @@ func TestRingWakeupLiveness(t *testing.T) {
 				burst := 1 + prng.Intn(8)
 				bracketed := prng.Intn(2) == 0
 				if bracketed {
-					r.BeginFlush()
+					p.BeginFlush()
 				}
 				for i := 0; i < burst && sent < total; i++ {
-					n := 1 + prng.Intn(700)
-					if sent+n > total {
-						n = total - sent
-					}
-					if _, err := r.Write(make([]byte, n)); err != nil {
+					n := min(1+prng.Intn(700), total-sent)
+					if _, err := p.Write(make([]byte, n)); err != nil {
 						if bracketed {
-							r.EndFlush()
+							p.EndFlush()
 						}
 						errs <- err
 						return
@@ -164,7 +165,7 @@ func TestRingWakeupLiveness(t *testing.T) {
 					sent += n
 				}
 				if bracketed {
-					r.EndFlush()
+					p.EndFlush()
 				}
 				if prng.Intn(4) == 0 {
 					runtime.Gosched()
@@ -174,6 +175,7 @@ func TestRingWakeupLiveness(t *testing.T) {
 		go func() { // consumer: drain with erratic pacing
 			defer wg.Done()
 			prng := rand.New(rand.NewSource(seed + 1))
+			r := &laneStream{q: q}
 			buf := make([]byte, 1024)
 			seen := 0
 			for seen < total {
@@ -205,169 +207,150 @@ func TestRingWakeupLiveness(t *testing.T) {
 }
 
 // TestSharedDoorbellCountersCrossAttach checks that the wakeup counters live
-// in the segment, not the process: bells rung by an attached view are
-// visible through the creator's Stats, the way a child's reply-ring bells
-// must be visible to the parent.
+// in the segment, not the process: bells rung through the creator's view
+// are visible through an attached view's Stats, the way a sentinel's
+// reply-queue bells must be visible to the parent.
 func TestSharedDoorbellCountersCrossAttach(t *testing.T) {
-	s := newTestSegment(t, 0, 0)
+	s := newTestSegment(t, 1, 0, 0)
 	att := attachClone(t, s)
 
-	// The attached view's reader parks; the creator's writer wakes it. The
-	// doorbell is rung through the creator's Ring, but the counter must read
-	// back identically through the attached Ring — one shared ledger.
+	// The attached view's consumer parks; the creator's producer wakes it.
+	// The doorbell is rung through the creator's queue, but the counter must
+	// read back identically through the attached queue — one shared ledger.
 	done := make(chan struct{})
 	go func() {
 		var b [1]byte
-		io.ReadFull(att.Rings()[0], b[:])
+		io.ReadFull(&laneStream{q: att.Cmd()}, b[:])
 		close(done)
 	}()
-	waitFor(t, func() bool { return att.Rings()[0].Stats().Parks >= 1 })
-	if _, err := s.Cmd().Write([]byte{1}); err != nil {
+	waitFor(t, func() bool { return att.Cmd().Stats().Parks >= 1 })
+	if _, err := s.Cmd().Producer(0, RecordFrame).Write([]byte{1}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	<-done
 
-	creator, attached := s.Cmd().Stats(), att.Rings()[0].Stats()
+	creator, attached := s.Cmd().Stats(), att.Cmd().Stats()
 	if creator.Doorbells == 0 {
-		t.Fatal("no doorbell recorded for a parked-reader wakeup")
+		t.Fatal("no doorbell recorded for a parked-consumer wakeup")
 	}
 	if creator.Doorbells != attached.Doorbells || creator.Suppressed != attached.Suppressed {
 		t.Fatalf("counters diverge across attach: creator %+v attached %+v", creator, attached)
 	}
 }
 
-// attachClone maps s a second time through dup'd descriptors, standing in
-// for the child's view of the segment. The clone is closed by the test via
-// the segment-wide close semantics (closing either view closes the rings
-// for both — they share the header flags).
-func attachClone(t *testing.T, s *Segment) *Segment {
-	t.Helper()
-	files := s.ChildFiles()
-	dup := func(f *os.File) *os.File {
-		fd, err := syscall.Dup(int(f.Fd()))
-		if err != nil {
-			t.Fatalf("dup: %v", err)
-		}
-		return os.NewFile(uintptr(fd), f.Name())
-	}
-	segFile := dup(files[0])
-	bells := make([]*os.File, len(files)-1)
-	for i, f := range files[1:] {
-		bells[i] = dup(f)
-	}
-	att, err := Attach(segFile, bells)
-	if err != nil {
-		segFile.Close()
-		for _, b := range bells {
-			b.Close()
-		}
-		t.Fatalf("Attach: %v", err)
-	}
-	t.Cleanup(func() { att.Close() })
-	return att
-}
-
-// TestMultiRingSegmentGeometry pins the v2 layout: NewMulti carves the
-// requested pairs, the directory names and sizes them, every pair moves
-// bytes independently, and the epoch advances under AdvanceEpoch.
+// TestMultiRingSegmentGeometry pins the segment layout: NewMPSC rounds each
+// ring's capacity up to a power of two, bounds the lane count, hands the
+// attaching process five files, and both rings move records independently
+// for every lane.
 func TestMultiRingSegmentGeometry(t *testing.T) {
-	const pairs = 3
-	s, err := NewMulti(pairs, 0, 0)
-	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
+	const lanes = 3
+	s := newTestSegment(t, lanes, 5000, 20000)
+	if s.Lanes() != lanes {
+		t.Fatalf("Lanes = %d, want %d", s.Lanes(), lanes)
 	}
-	defer s.Close()
-
-	rings := s.Rings()
-	if len(rings) != 2*pairs {
-		t.Fatalf("NewMulti(%d) carved %d rings, want %d", pairs, len(rings), 2*pairs)
-	}
-	if s.Cmd() != rings[0] || s.Reply() != rings[1] {
-		t.Fatal("Cmd/Reply accessors do not alias pair 0")
+	if c, r := len(s.Cmd().data), len(s.Reply().data); c != 8192 || r != 32768 {
+		t.Fatalf("ring capacities = %d/%d, want 8192/32768", c, r)
 	}
 	// 1 segment file + 2 bells per ring.
-	if got, want := len(s.ChildFiles()), 1+4*pairs; got != want {
-		t.Fatalf("ChildFiles = %d files, want %d", got, want)
+	if got := len(s.ChildFiles()); got != 5 {
+		t.Fatalf("ChildFiles = %d files, want 5", got)
 	}
-
-	// Each pair is an independent conduit.
-	for p := 0; p < pairs; p++ {
-		for dir := 0; dir < 2; dir++ {
-			r := rings[2*p+dir]
-			msg := []byte{byte(p), byte(dir), 0xAA}
-			if _, err := r.Write(msg); err != nil {
-				t.Fatalf("pair %d dir %d write: %v", p, dir, err)
-			}
-			got := make([]byte, len(msg))
-			if _, err := io.ReadFull(r, got); err != nil {
-				t.Fatalf("pair %d dir %d read: %v", p, dir, err)
-			}
-			if !bytes.Equal(got, msg) {
-				t.Fatalf("pair %d dir %d: got %v want %v", p, dir, got, msg)
-			}
+	for _, bad := range []int{-1, MaxLanes + 1} {
+		if seg, err := NewMPSC(bad, 0, 0); err == nil {
+			seg.Close()
+			t.Fatalf("NewMPSC(%d lanes) accepted", bad)
 		}
 	}
 
-	if e := s.Epoch(); e != 0 {
-		t.Fatalf("fresh segment epoch = %d, want 0", e)
-	}
-	s.AdvanceEpoch()
-	if e := s.Epoch(); e != 1 {
-		t.Fatalf("epoch after advance = %d, want 1", e)
+	for lane := uint16(0); lane < lanes; lane++ {
+		for dir, q := range []*MPSCQueue{s.Cmd(), s.Reply()} {
+			msg := []byte{byte(lane), byte(dir), 0xAA}
+			if _, err := q.Producer(lane, RecordFrame).Write(msg); err != nil {
+				t.Fatalf("lane %d dir %d write: %v", lane, dir, err)
+			}
+			got := make([]byte, len(msg))
+			if _, err := io.ReadFull(&laneStream{q: q, lane: lane}, got); err != nil {
+				t.Fatalf("lane %d dir %d read: %v", lane, dir, err)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("lane %d dir %d: got %v want %v", lane, dir, got, msg)
+			}
+		}
 	}
 }
 
-// TestMultiRingAttachSharesEpoch: an attached view reads the same control
-// region — epoch bumps on one side are visible on the other, and the
-// directory reproduces the creator's ring geometry.
-func TestMultiRingAttachSharesEpoch(t *testing.T) {
-	s, err := NewMulti(2, 0, 0)
-	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
-	}
-	defer s.Close()
+// TestAttachSharesControlRegion: an attached view reads the creator's
+// geometry and lane table out of the same control region, and records the
+// creator commits on a non-zero lane arrive through the attached view.
+func TestAttachSharesControlRegion(t *testing.T) {
+	s := newTestSegment(t, 4, 0, 0)
 	att := attachClone(t, s)
 
-	if len(att.Rings()) != len(s.Rings()) {
-		t.Fatalf("attach carved %d rings, creator has %d", len(att.Rings()), len(s.Rings()))
+	if att.Lanes() != s.Lanes() || len(att.Cmd().data) != len(s.Cmd().data) ||
+		len(att.Reply().data) != len(s.Reply().data) {
+		t.Fatalf("attach geometry %d lanes %d/%d, creator %d lanes %d/%d",
+			att.Lanes(), len(att.Cmd().data), len(att.Reply().data),
+			s.Lanes(), len(s.Cmd().data), len(s.Reply().data))
 	}
-	s.AdvanceEpoch()
-	s.AdvanceEpoch()
-	if got := att.Epoch(); got != 2 {
-		t.Fatalf("attached view reads epoch %d, want 2", got)
+	first, _ := s.ClaimLane()
+	second, _ := s.ClaimLane()
+	s.ReleaseLane(first)
+	if c, d := att.LaneCounts(); c != 1 || d != 1 {
+		t.Fatalf("attached view counts (%d claimed, %d draining), want (1, 1)", c, d)
 	}
 
-	// Cross-view traffic on a non-zero pair: creator writes ring 2, attached
-	// view reads it out of the same memory.
-	if _, err := s.Rings()[2].Write([]byte("pair1")); err != nil {
+	if _, err := s.Cmd().Producer(second, RecordFrame).Write([]byte("lane1")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got := make([]byte, 5)
-	if _, err := io.ReadFull(att.Rings()[2], got); err != nil || string(got) != "pair1" {
+	if _, err := io.ReadFull(&laneStream{q: att.Cmd(), lane: second}, got); err != nil || string(got) != "lane1" {
 		t.Fatalf("cross-view read = %q, %v", got, err)
 	}
 }
 
 // TestAttachRejectsBadSegments: attach must fail cleanly on garbage — wrong
-// magic, impossible geometry, or a bell count that does not match the
-// directory — rather than carving rings out of lies.
+// magic, an older layout version, a bell count that does not match the
+// queues, or a mapping whose size the declared geometry does not explain —
+// rather than carving queues out of lies.
 func TestAttachRejectsBadSegments(t *testing.T) {
-	junk, err := os.CreateTemp(t.TempDir(), "junk")
-	if err != nil {
-		t.Fatal(err)
+	junk := func(version uint32) *os.File {
+		f, err := os.CreateTemp(t.TempDir(), "junk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(int64(segHdrBytes + 2*(ringHdrBytes+minRingBytes))); err != nil {
+			t.Fatal(err)
+		}
+		if version != 0 {
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[:], segMagic)
+			binary.LittleEndian.PutUint32(hdr[4:], version)
+			if _, err := f.WriteAt(hdr[:], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
 	}
-	defer junk.Close()
-	if err := junk.Truncate(int64(segHdrBytes + 2*(ringHdrBytes+minRingBytes))); err != nil {
-		t.Fatal(err)
+	if _, err := AttachMPSC(junk(0), make([]*os.File, 4)); err == nil {
+		t.Fatal("AttachMPSC accepted a zeroed (magic-less) segment")
 	}
-	if _, err := Attach(junk, make([]*os.File, 4)); err == nil {
-		t.Fatal("Attach accepted a zeroed (magic-less) segment")
+	if _, err := AttachMPSC(junk(mpscVersion-1), make([]*os.File, 4)); err == nil {
+		t.Fatal("AttachMPSC accepted an older segment version")
 	}
 
-	s := newTestSegment(t, 0, 0)
-	files := s.ChildFiles()
-	if _, err := Attach(files[0], files[1:3]); err == nil {
-		t.Fatal("Attach accepted a bell count that cannot cover the rings")
+	s := newTestSegment(t, 1, 0, 0)
+	files := dupFiles(t, s.ChildFiles())
+	if _, err := AttachMPSC(files[0], files[1:3]); err == nil {
+		t.Fatal("AttachMPSC accepted a bell count that cannot cover the queues")
+	}
+	files[3].Close()
+	files[4].Close()
+	files = dupFiles(t, s.ChildFiles())
+	if err := files[0].Truncate(int64(segHdrBytes+2*ringHdrBytes+DefaultCmdBytes+DefaultReplyBytes) + 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AttachMPSC(files[0], files[1:]); err == nil {
+		t.Fatal("AttachMPSC accepted a mapping larger than its geometry")
 	}
 }
 
@@ -375,47 +358,49 @@ func TestAttachRejectsBadSegments(t *testing.T) {
 // unmapped the segment, reporting the final snapshot instead of faulting on
 // dead memory.
 func TestRingStatsAfterSegmentClose(t *testing.T) {
-	s := newTestSegment(t, 0, 0)
-	r := s.Cmd()
+	s := newTestSegment(t, 1, 0, 0)
+	q := s.Cmd()
 
 	done := make(chan struct{})
 	go func() {
 		var b [1]byte
-		io.ReadFull(r, b[:])
+		io.ReadFull(&laneStream{q: q}, b[:])
 		close(done)
 	}()
-	waitFor(t, func() bool { return r.Stats().Parks >= 1 })
-	if _, err := r.Write([]byte{1}); err != nil {
+	waitFor(t, func() bool { return q.Stats().Parks >= 1 })
+	if _, err := q.Producer(0, RecordFrame).Write([]byte{1}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	<-done
 
-	live := r.Stats()
+	live := q.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	final := r.Stats()
+	final := q.Stats()
 	if final.Doorbells != live.Doorbells || final.Suppressed != live.Suppressed {
 		t.Fatalf("post-close stats %+v lost the pre-close counters %+v", final, live)
 	}
 	// And again, for the detached-snapshot path's idempotence.
-	if again := r.Stats(); again != final {
+	if again := q.Stats(); again != final {
 		t.Fatalf("second post-close Stats %+v != first %+v", again, final)
 	}
 }
 
 // TestBatchedWritesSuppressDoorbells: without explicit brackets, back-to-back
-// writes against a RUNNING (not parked) reader should suppress almost every
-// bell — the Dekker check sees the reader awake and skips the syscall.
+// writes against a RUNNING (not parked) consumer should suppress almost every
+// bell — the Dekker check sees the consumer awake and skips the syscall.
 func TestBatchedWritesSuppressDoorbells(t *testing.T) {
-	s := newTestSegment(t, 0, 0)
-	r := s.Cmd()
+	s := newTestSegment(t, 1, 0, 0)
+	q := s.Cmd()
+	p := q.Producer(0, RecordFrame)
 
 	const total = 32 * 1024
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		r := &laneStream{q: q}
 		buf := make([]byte, 4096)
 		seen := 0
 		for seen < total {
@@ -430,15 +415,15 @@ func TestBatchedWritesSuppressDoorbells(t *testing.T) {
 
 	chunk := make([]byte, 256)
 	for sent := 0; sent < total; sent += len(chunk) {
-		if _, err := r.Write(chunk); err != nil {
+		if _, err := p.Write(chunk); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 	}
 	wg.Wait()
 
-	st := r.Stats()
+	st := q.Stats()
 	if st.Suppressed == 0 {
-		t.Fatalf("no suppression across %d writes against a mostly-running reader: %+v",
+		t.Fatalf("no suppression across %d writes against a mostly-running consumer: %+v",
 			total/len(chunk), st)
 	}
 	if errs := s.Close(); errs != nil {

@@ -3,12 +3,10 @@ package shm
 import "sync/atomic"
 
 // Process-wide descriptor accounting for the shared-memory data plane. Every
-// mapped segment — classic SPSC pair or MPSC lane segment, created or
-// attached — registers the descriptors it holds open, and lane claims count
-// the sessions multiplexed over them. The point is the ratio: with per-lane
-// segments the doorbell count grows with sessions; with the MPSC plane it is
-// O(1) per segment, and these gauges are how tests and the daemon snapshot
-// pin that down.
+// mapped segment, created or attached, registers the descriptors it holds
+// open, and lane claims count the sessions multiplexed over them. The point
+// is the ratio: the doorbell count grows with segments, not sessions, and
+// these gauges are how tests and the daemon snapshot pin that down.
 var (
 	fdSegments     atomic.Int64 // mapped segments in this process
 	fdSegmentFiles atomic.Int64 // backing files (memfd / unlinked temp) held open

@@ -13,35 +13,51 @@ import (
 	"unsafe"
 )
 
-// Many-session data plane: one MPSC segment multiplexes up to MaxLanes
-// sessions over a single pair of record queues, a single mapping, and a
-// single doorbell budget — five fds total (the backing file plus four
-// eventfds), however many sessions share it. Layout:
+// One segment multiplexes up to MaxLanes sessions over a single pair of
+// record queues, a single mapping, and a single doorbell budget — five fds
+// total (the backing file plus four eventfds), however many sessions share
+// it. Layout, every region cache-line aligned:
 //
-//	[0, 4096)                    control region (magic, version, epoch, lane table)
+//	[0, 4096)                    control region (magic, version, geometry, lane table)
 //	[4096, 4096+ringHdrBytes)    cmd queue header
 //	[..., ... + cmdCap)          cmd queue data   (sessions → serving side)
 //	[..., ... + ringHdrBytes)    reply queue header
 //	[..., ... + replyCap)        reply queue data (serving side → sessions)
 //
-// Unlike the SPSC byte rings, the queues carry framed *records*: producers
-// CAS-claim a contiguous byte span, copy their payload, and publish it by
-// storing the record header word last. The single consumer walks records in
-// claim order, which is what serializes N sessions' frames into one stream
-// the serving side can demultiplex by lane.
+// The queues carry framed records: producers CAS-claim a contiguous byte
+// span, copy their payload, and publish it by storing the record header word
+// last. The single consumer walks records in claim order, which is what
+// serializes N sessions' frames into one stream the serving side can
+// demultiplex by lane. Capacities are powers of two so cursor positions
+// reduce with a mask, and the cursors themselves are free-running uint64 byte
+// counts (head = bytes claimed, tail = bytes consumed) — the empty/full
+// ambiguity of wrapped indices never arises and 2^64 bytes outlives any
+// session.
 const (
-	mpscVersion = 3 // v3: control region with epoch + lane table, two MPSC record queues
-
-	// MaxLanes bounds the lane table; a lane is one session's slot on the
-	// shared segment.
-	MaxLanes = 256
-
-	// Default queue capacities. The command queue carries request frames
-	// (small) plus posted write payloads; the reply queue carries response
-	// frames including read payloads, so it gets the larger share.
-	DefaultMPSCCmdBytes   = 4 << 20
-	DefaultMPSCReplyBytes = 8 << 20
+	segMagic     = 0x41465348 // "AFSH" — active-file shared memory
+	mpscVersion  = 4          // v4: control region with geometry + lane table, two MPSC record queues
+	segHdrBytes  = 4096
+	ringHdrBytes = 512
+	minRingBytes = 4096
 )
+
+// Spin calibration. On a shared core the peer cannot make progress while we
+// burn it, so every spin iteration yields the CPU with sched_yield — that is
+// what turns the spin from a pure waste into "run the peer, then re-check".
+// Every goschedEvery-th iteration yields to the Go scheduler instead, so
+// same-process goroutines (mux callers, child workers) are not starved of
+// the P under GOMAXPROCS=1; it is kept rare because an idle-runqueue Gosched
+// costs a netpoll probe. After spinBudget fruitless iterations the waiter
+// parks on its doorbell and burns nothing.
+const (
+	spinBudget   = 96
+	goschedEvery = 8
+)
+
+// Raw syscall numbers, named for the call sites. memfd_create postdates the
+// frozen syscall package, so its number is spelled per-arch in
+// memfd_*.go; zero means "no memfd, use a temp file".
+const eventfdTrap = syscall.SYS_EVENTFD2
 
 // Lane states in the control region's lane table. A lane is claimed by the
 // session side, released to draining when the session closes (the serving
@@ -88,15 +104,13 @@ func recDecode(w uint64) (kind RecordKind, lane uint16, n uint64) {
 
 func align8(n uint64) uint64 { return (n + recAlign - 1) &^ (recAlign - 1) }
 
-// mpscSegHdr is the MPSC segment's control region: identity, adoption epoch,
-// geometry, and the lane table. Lane words are written by the session side
-// (claim/release) and read by both; each spends its word, not a line — lane
-// transitions are cold-path (open/close), not hot-path.
+// mpscSegHdr is the segment's control region: identity, geometry, and the
+// lane table. Lane words are written by the session side (claim/release) and
+// read by both; each spends its word, not a line — lane transitions are
+// cold-path (open/close), not hot-path.
 type mpscSegHdr struct {
 	magic   uint32
 	version uint32
-	_       [56]byte
-	epoch   atomic.Uint64
 	_       [56]byte
 	nlanes  uint32
 	_       [60]byte
@@ -106,11 +120,15 @@ type mpscSegHdr struct {
 	lanes   [MaxLanes]atomic.Uint32
 }
 
-// mpscHdr is one record queue's shared control block, cache-line padded like
-// ringHdr. head is CAS-advanced by any producer; tail is written only by the
-// consumer. wparked is a *count* of parked producers (the SPSC header's flag
-// is not enough: several producers can park on the one space bell, and the
-// consumer must know someone — anyone — still waits).
+// mpscHdr is one record queue's shared control block, laid out so every
+// mutable word (or same-owner word group) owns a cache line: sharing a line
+// would make each side's cursor store invalidate the other's hot loop. head
+// is CAS-advanced by any producer; tail is written only by the consumer.
+// wparked is a *count* of parked producers: several producers can park on
+// the one space bell, and the consumer must know someone — anyone — still
+// waits. The doorbell counters live here, not in process-local memory,
+// because the bells of one queue are rung by different processes per
+// direction and the observer (the parent) wants the whole economy.
 type mpscHdr struct {
 	head    atomic.Uint64 // bytes claimed; CAS-advanced by producers
 	_       [56]byte
@@ -130,6 +148,8 @@ type mpscHdr struct {
 	_       [48]byte
 }
 
+// Both shared structures must fit their reserved regions; a negative array
+// length here fails the build the moment either outgrows its slot.
 var (
 	_ [segHdrBytes - int(unsafe.Sizeof(mpscSegHdr{}))]byte
 	_ [ringHdrBytes - int(unsafe.Sizeof(mpscHdr{}))]byte
@@ -139,6 +159,12 @@ var (
 // consumer, framed records over mapped memory. Producers may live in many
 // goroutines of one process (the session side) or one goroutine each; the
 // consumer is exactly one goroutine in the other process.
+//
+// Two doorbells serve the two wait directions: producers ring dataBell to
+// wake a consumer parked for records, the consumer rings spaceBell to wake
+// producers parked for room. They must be distinct — with a single shared
+// bell, a parking consumer could swallow the token meant for a space-starved
+// producer and strand both sides.
 type MPSCQueue struct {
 	name string
 	hdr  *mpscHdr
@@ -149,10 +175,14 @@ type MPSCQueue struct {
 	spaceBell *os.File // consumer → producers: "space available"
 
 	localClosed atomic.Bool
-	inflight    atomic.Int64
-	detached    atomic.Bool
-	finalBells  atomic.Uint64
-	finalSupp   atomic.Uint64
+	inflight    atomic.Int64 // queue ops in this process, gating munmap
+
+	// detached is set (after snapshotting the shared counters below) when the
+	// segment starts tearing down, so Stats never chases hdr into an
+	// unmapped page.
+	detached   atomic.Bool
+	finalBells atomic.Uint64
+	finalSupp  atomic.Uint64
 
 	parks atomic.Uint64
 	spins atomic.Uint64
@@ -160,9 +190,8 @@ type MPSCQueue struct {
 
 // FlushState is one producer group's doorbell-coalescing bracket state
 // (wire.FlushCoalescer). It is NOT shared across sessions — each lane's
-// producers own one — and it follows the same single-writer discipline as
-// the SPSC ring's plain fields: only the batch leader (or the lane's lone
-// writer) touches it.
+// producers own one. Plain fields, single-writer: only the batch leader (or
+// the lane's lone writer) touches them, and the consumer never reads them.
 type FlushState struct {
 	deferWake   bool
 	wakePending bool
@@ -178,7 +207,9 @@ type Producer struct {
 	fs   *FlushState
 }
 
-// MPSCSegment is one process's view of a shared MPSC mapping.
+// MPSCSegment is one process's view of a shared mapping and its doorbells.
+// The parent creates it (NewMPSC) and passes its files to the sentinel,
+// which attaches (AttachMPSC); both ends hold equal views afterwards.
 type MPSCSegment struct {
 	mem    []byte
 	file   *os.File
@@ -194,9 +225,14 @@ type MPSCSegment struct {
 	laneSessions atomic.Int64
 }
 
-// NewMPSC creates a fresh shared MPSC segment for up to lanes sessions
-// (0 means MaxLanes) with the given queue capacities (0 means the defaults),
-// plus its four doorbell eventfds.
+// Supported reports whether this platform can host the transport.
+func Supported() bool { return true }
+
+// NewMPSC creates a fresh shared segment for up to lanes sessions (0 means
+// MaxLanes) with the given queue capacities (0 means the defaults), plus its
+// four doorbell eventfds. The backing file is a memfd when the kernel has
+// one, else an unlinked temp file; either way nothing persists past the
+// processes holding it.
 func NewMPSC(lanes, cmdBytes, replyBytes int) (*MPSCSegment, error) {
 	if lanes == 0 {
 		lanes = MaxLanes
@@ -205,10 +241,10 @@ func NewMPSC(lanes, cmdBytes, replyBytes int) (*MPSCSegment, error) {
 		return nil, fmt.Errorf("shm: %d lanes (want 1..%d)", lanes, MaxLanes)
 	}
 	if cmdBytes <= 0 {
-		cmdBytes = DefaultMPSCCmdBytes
+		cmdBytes = DefaultCmdBytes
 	}
 	if replyBytes <= 0 {
-		replyBytes = DefaultMPSCReplyBytes
+		replyBytes = DefaultReplyBytes
 	}
 	cmdCap := ceilPow2(cmdBytes)
 	repCap := ceilPow2(replyBytes)
@@ -252,7 +288,10 @@ func NewMPSC(lanes, cmdBytes, replyBytes int) (*MPSCSegment, error) {
 
 // AttachMPSC builds the attaching (serving) process's view from the
 // inherited files: the segment file plus the four doorbells in ChildFiles
-// order. Geometry is validated against the mapping size, like Attach.
+// order. The geometry comes from the control region, validated against the
+// mapping size, so a corrupt or foreign segment is rejected before any
+// cursor is trusted. AttachMPSC takes ownership of the files on success and
+// on failure.
 func AttachMPSC(seg *os.File, bells []*os.File) (*MPSCSegment, error) {
 	closeAll := func() {
 		seg.Close()
@@ -339,19 +378,12 @@ func (s *MPSCSegment) Reply() *MPSCQueue { return s.reply }
 // Lanes returns the segment's lane capacity.
 func (s *MPSCSegment) Lanes() int { return int(s.hdr.nlanes) }
 
-// Epoch returns the control region's adoption generation.
-func (s *MPSCSegment) Epoch() uint64 { return s.hdr.epoch.Load() }
-
-// AdvanceEpoch bumps the adoption generation — called whenever a lane is
-// handed to a new session, the many-session analogue of the warm-pool rebind.
-func (s *MPSCSegment) AdvanceEpoch() uint64 { return s.hdr.epoch.Add(1) }
-
 // Closed reports whether this process's view has been torn down.
 func (s *MPSCSegment) Closed() bool { return s.closed.Load() }
 
 // ChildFiles returns the files the attaching process must inherit, in the
-// order AttachMPSC expects them back — the same five-slot layout as the
-// classic single-pair segment, so the spawn path's fd numbering is shared.
+// order AttachMPSC expects them back: the segment file, then the command
+// queue's data and space bells, then the reply queue's.
 func (s *MPSCSegment) ChildFiles() []*os.File {
 	return []*os.File{s.file, s.cmd.dataBell, s.cmd.spaceBell, s.reply.dataBell, s.reply.spaceBell}
 }
@@ -429,8 +461,12 @@ func (s *MPSCSegment) LaneCounts() (claimed, draining int) {
 
 // Close shuts both queues (waking every parked producer and consumer in both
 // processes), waits for this process's in-flight queue operations to drain,
-// and unmaps the segment — leaking the mapping rather than pulling it out
-// from under a wedged operation, exactly like Segment.Close.
+// and unmaps the segment. If an operation refuses to drain — a wedged caller
+// still inside Drain — the mapping is leaked rather than unmapped under it,
+// since a stale load through an unmapped page is a process-killing SIGSEGV,
+// not an error. Every queue entry point checks detached right after
+// registering in-flight, so an operation that starts after the wait bails
+// instead of touching the mapping. Idempotent.
 func (s *MPSCSegment) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -481,6 +517,9 @@ func (q *MPSCQueue) close() {
 	ringBell(q.spaceBell)
 }
 
+// detach snapshots the shared doorbell counters and redirects Stats to the
+// snapshot, so a Stats call racing (or following) the segment unmap reads
+// process-local memory instead of a page that may be gone.
 func (q *MPSCQueue) detach() {
 	q.finalBells.Store(q.hdr.pbells.Load() + q.hdr.cbells.Load())
 	q.finalSupp.Store(q.hdr.psupp.Load() + q.hdr.csupp.Load())
@@ -491,8 +530,11 @@ func (q *MPSCQueue) isClosed() bool {
 	return q.hdr.closed.Load() != 0 || q.localClosed.Load()
 }
 
-// Stats snapshots the queue's wait counters, with the same detach discipline
-// as Ring.Stats.
+// Stats snapshots the queue's wait counters. Parks and Spins are this
+// process's; Doorbells and Suppressed come from the shared header and count
+// both sides. Safe to call after Close — the teardown path snapshots the
+// shared counters before the mapping can go away, and the inflight gate
+// keeps a concurrent unmap waiting for a live read of them.
 func (q *MPSCQueue) Stats() Stats {
 	s := Stats{Parks: q.parks.Load(), Spins: q.spins.Load()}
 	q.inflight.Add(1)
@@ -555,10 +597,14 @@ func (p *Producer) Write(b []byte) (int, error) {
 
 // BeginFlush opens the doorbell-coalescing bracket (wire.FlushCoalescer) for
 // this producer group: wake decisions of every submit until EndFlush collapse
-// into one. Leader-serialized, like Ring.BeginFlush.
+// into one. Leader-serialized; brackets do not nest.
 func (p *Producer) BeginFlush() { p.fs.deferWake = true }
 
 // EndFlush closes the bracket and issues the one deferred wake decision.
+// Running the parked check here — after the bracket's final commit —
+// preserves the Dekker no-lost-wakeup property: a consumer parking
+// mid-bracket set rparked before re-checking emptiness, so either it saw our
+// records and returned, or we see its flag now and ring.
 func (p *Producer) EndFlush() {
 	p.fs.deferWake = false
 	p.q.flushWake(p.fs)
@@ -733,8 +779,9 @@ func (q *MPSCQueue) Drain(fn func(lane uint16, kind RecordKind, payload []byte))
 	}
 }
 
-// wakeConsumer decides the post-publish wake, honoring the producer group's
-// flush bracket exactly like Ring.wakeReader.
+// wakeConsumer decides the post-publish wake: inside the producer group's
+// flush bracket the decision is deferred (and counted suppressed past the
+// first), otherwise the data doorbell rings iff the consumer is parked.
 func (q *MPSCQueue) wakeConsumer(fs *FlushState) {
 	if fs != nil && fs.deferWake {
 		if fs.wakePending {
@@ -746,6 +793,10 @@ func (q *MPSCQueue) wakeConsumer(fs *FlushState) {
 	q.ringDataBell()
 }
 
+// ringDataBell rings the data doorbell iff the consumer is parked (or mid-
+// park). The flag check keeps the hot path syscall-free: an actively
+// spinning or busy consumer never costs the producer a bell — that skip is
+// what the suppressed counter records.
 func (q *MPSCQueue) ringDataBell() {
 	if q.hdr.rparked.Load() != 0 {
 		q.hdr.pbells.Add(1)
@@ -791,7 +842,12 @@ func (q *MPSCQueue) parkForSpace(want uint64) {
 	}
 }
 
-// park is Ring.park for the queue's consumer side.
+// park blocks the consumer on bell until a producer rings it, the queue
+// closes, or ready reports the wait is already over. The flag-then-recheck
+// order pairs with the producers' commit-then-check-flag order (see the
+// package comment); together they guarantee the bell cannot be missed. A
+// bell read may also return a stale token from an earlier wake — callers
+// loop and re-check, so spurious wakeups are harmless.
 func (q *MPSCQueue) park(flag *atomic.Uint32, bell *os.File, ready func() bool) {
 	flag.Store(1)
 	defer flag.Store(0)
@@ -800,10 +856,16 @@ func (q *MPSCQueue) park(flag *atomic.Uint32, bell *os.File, ready func() bool) 
 	}
 	q.parks.Add(1)
 	var buf [8]byte
+	// The eventfd is in blocking mode (exec inheritance forces it there), so
+	// this occupies an OS thread, not the netpoller; the runtime hands the P
+	// off. Errors need no handling: a closed bell during teardown surfaces
+	// as an error here, and the caller's loop then observes the closed queue.
 	bell.Read(buf[:])
 }
 
-// relax is one bounded-spin iteration, Ring.relax's discipline.
+// relax burns one bounded-spin iteration: sched_yield so the peer process
+// can run on a shared core, with a periodic Gosched so same-process
+// goroutines get the P too.
 func (q *MPSCQueue) relax(spin int) {
 	q.spins.Add(1)
 	if spin%goschedEvery == goschedEvery-1 {
@@ -811,4 +873,59 @@ func (q *MPSCQueue) relax(spin int) {
 	} else {
 		syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 	}
+}
+
+// ringBell posts one token to an eventfd. Failures are ignored: the only
+// ways a bell write fails are teardown races, where the waiter is being
+// released by the closed flag anyway.
+func ringBell(bell *os.File) {
+	var one = [8]byte{0: 1}
+	bell.Write(one[:])
+}
+
+// newEventFD opens a fresh eventfd doorbell. Blocking mode is deliberate:
+// os/exec flips inherited descriptors to blocking when spawning the child,
+// and the flag lives on the shared open file description, so nonblocking
+// semantics could not survive anyway. A parked waiter simply occupies one
+// OS thread until rung.
+func newEventFD() (*os.File, error) {
+	const efdCloexec = 0x80000 // EFD_CLOEXEC; cleared per-fd by ExtraFiles inheritance
+	fd, _, errno := syscall.Syscall(eventfdTrap, 0, efdCloexec, 0)
+	if errno != 0 {
+		return nil, fmt.Errorf("shm: eventfd: %w", errno)
+	}
+	return os.NewFile(fd, "shm-doorbell"), nil
+}
+
+// newSegmentFile returns an anonymous file to back the mapping: a memfd
+// when available, else an unlinked temp file (page-cache backed, so the
+// data path is the same; only the name lifecycle differs).
+func newSegmentFile() (*os.File, error) {
+	if memfdTrap != 0 {
+		name, err := syscall.BytePtrFromString("af-shm")
+		if err == nil {
+			const mfdCloexec = 1 // MFD_CLOEXEC
+			fd, _, errno := syscall.Syscall(memfdTrap, uintptr(unsafe.Pointer(name)), mfdCloexec, 0)
+			if errno == 0 {
+				return os.NewFile(fd, "af-shm"), nil
+			}
+		}
+	}
+	f, err := os.CreateTemp("", "af-shm-*")
+	if err != nil {
+		return nil, fmt.Errorf("shm: create segment file: %w", err)
+	}
+	os.Remove(f.Name())
+	return f, nil
+}
+
+func ceilPow2(n int) int {
+	if n < minRingBytes {
+		n = minRingBytes
+	}
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }

@@ -7,18 +7,13 @@ import (
 	"os"
 )
 
-// The MPSC lane plane compiles out with the rest of the transport; every
-// entry point reports ErrUnsupported so core falls back to per-session
-// conduits (recorded in the handle's carrier stats).
+// The transport needs mmap-shared anonymous files and eventfd doorbells;
+// off Linux it is compiled out and every entry point reports
+// ErrUnsupported, which core turns into a pipe fallback (recorded in the
+// handle's carrier stats).
 
-const (
-	// MaxLanes matches the Linux lane-table bound so manifest validation
-	// behaves identically across platforms.
-	MaxLanes = 256
-
-	DefaultMPSCCmdBytes   = 4 << 20
-	DefaultMPSCReplyBytes = 8 << 20
-)
+// Supported reports whether this platform can host the transport.
+func Supported() bool { return false }
 
 // RecordKind tags one record's stream; see the Linux implementation.
 type RecordKind uint8
@@ -65,8 +60,6 @@ func AttachMPSC(seg *os.File, bells []*os.File) (*MPSCSegment, error) {
 func (s *MPSCSegment) Cmd() *MPSCQueue                     { return nil }
 func (s *MPSCSegment) Reply() *MPSCQueue                   { return nil }
 func (s *MPSCSegment) Lanes() int                          { return 0 }
-func (s *MPSCSegment) Epoch() uint64                       { return 0 }
-func (s *MPSCSegment) AdvanceEpoch() uint64                { return 0 }
 func (s *MPSCSegment) Closed() bool                        { return true }
 func (s *MPSCSegment) ChildFiles() []*os.File              { return nil }
 func (s *MPSCSegment) ClaimLane() (uint16, bool)           { return 0, false }

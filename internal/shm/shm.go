@@ -1,67 +1,73 @@
 // Package shm implements the shared-memory data plane for the process
-// strategies: mmap'd single-producer/single-consumer byte rings — a
-// parent→child command ring and a child→parent reply ring per session pair —
-// with cache-line-padded head/tail cursors, an eventfd doorbell per wait
-// direction, and adaptive spin-then-park waiting.
+// strategies: an mmap'd lane segment carrying two multi-producer/single-
+// consumer record queues — a command queue toward the serving sentinel and a
+// reply queue back — with cache-line-padded head/tail cursors, an eventfd
+// doorbell per wait direction, and adaptive spin-then-park waiting.
 //
-// The rings are plain ordered byte streams (io.Reader/io.Writer), so the
-// existing wire framing, ipc.Mux correlation, BatchWriter group commit, and
-// the whole failure machinery run over them unchanged; only the bytes'
-// carrier moves from a kernel pipe to shared memory. On the hot path a frame
-// exchange costs two memcpys and zero syscalls: the producer publishes bytes
-// with an atomic cursor store and rings the peer's doorbell only when the
-// peer has actually parked, and the consumer spins briefly (yielding the CPU
-// so a same-core peer can run) before parking. An idle ring therefore burns
-// no CPU — both sides block in an eventfd read until the next doorbell.
+// A segment serves up to MaxLanes sessions. Every record is tagged with its
+// session's lane and its kind: command/response frames, posted write
+// payloads, or an in-band end-of-stream. The serving side demultiplexes the
+// command queue by lane and the session side demultiplexes the reply queue,
+// so each session still sees ordered byte streams and the existing wire
+// framing, ipc.Mux correlation, BatchWriter group commit and the whole
+// failure machinery run over them unchanged; only the bytes' carrier moves
+// from kernel pipes to shared memory. A segment with one lane is one
+// session's private carrier.
+//
+// Hot path: a producer CAS-claims a contiguous span on the shared head
+// cursor, copies its payload, and publishes the record by storing its header
+// word last; it rings the consumer's doorbell only when the consumer has
+// actually parked. The consumer walks records in claim order, spinning
+// briefly (yielding the CPU so a same-core peer can run) before parking. An
+// idle queue therefore burns no CPU — both sides block in an eventfd read
+// until the next doorbell.
 //
 // Doorbell coalescing: a group-committed flush (wire.BatchWriter) brackets
-// its ring writes with BeginFlush/EndFlush, deferring the wake decision to
-// the end of the batch — N frames published together cost at most one
-// doorbell, and none at all when the consumer is running. Both rung and
-// suppressed doorbells are counted in the shared ring header, so either
-// process can observe the full syscall economy of the pair (the child rings
-// the reply-ring doorbells, but the parent reports them).
+// its writes with BeginFlush/EndFlush, deferring the wake decision to the end
+// of the batch — N records published together cost at most one doorbell, and
+// none at all when the consumer is running. Both rung and suppressed
+// doorbells are counted in the shared queue header, so either process can
+// observe the full syscall economy of the segment.
 //
-// Memory ordering: cursors and park flags are sync/atomic values living in
-// the shared mapping. Data bytes are written before the head-cursor store
-// that publishes them and read only after loading the cursor, so the
+// Memory ordering: cursors, record headers and park flags are sync/atomic
+// values living in the shared mapping. Payload bytes are written before the
+// header store that commits them and read only after loading it, so the
 // release/acquire pairing of Go's (sequentially consistent) atomics carries
 // the payload across the process boundary. The park/doorbell handshake is a
 // Dekker-style store-then-check on both sides — the producer publishes then
-// checks "consumer parked?", the consumer marks parked then re-checks
-// "ring still empty?" — which sequential consistency makes lossless: at
-// least one side always sees the other's store, so a wakeup cannot be lost.
-// A deferred (coalesced) wake preserves the property because EndFlush
-// re-runs the parked check after the final cursor store, and a writer that
-// must wait for space first releases any deferred wake so the reader it is
-// waiting on cannot stay parked.
+// checks "consumer parked?", the consumer marks parked then re-checks "queue
+// still empty?" — which sequential consistency makes lossless: at least one
+// side always sees the other's store, so a wakeup cannot be lost. A deferred
+// (coalesced) wake preserves the property because EndFlush re-runs the
+// parked check after the final commit, and a producer that must wait for
+// space first releases any deferred wake so the consumer it is waiting on
+// cannot stay parked.
 //
-// Segment layout: one mapping carries a control region (magic/version, an
-// adoption epoch, and a ring directory) followed by every ring's header and
-// data area, so a warm-pool adoption rebinds rings inside the existing
-// segment — no new fds, no new mmaps — and future per-client ring pairs have
-// a place to live (NewMulti).
-//
-// Teardown: either side may Close, which sets a shared closed flag and rings
-// every doorbell. Readers drain what was published and then see io.EOF;
-// writers fail with ErrClosed. A SIGKILLed peer cannot set the flag, so the
-// surviving side's supervisor (the parent's child monitor, the child's
-// control-pipe watchdog) closes its endpoint explicitly — the same prompt
+// Teardown: either side may close, which sets a shared closed flag and rings
+// every doorbell. The consumer drains what was committed and then sees
+// io.EOF; producers fail with ErrClosed. A SIGKILLed peer cannot set the
+// flag, so the surviving side's supervisor (the parent's child monitor, the
+// child's control-pipe watchdog) closes its view explicitly — the same prompt
 // poisoning discipline the pipe transport gets from kernel EOF/EPIPE.
 package shm
 
 import "errors"
 
-// Default ring capacities. The command ring carries only request envelopes
-// (tens of bytes each); the reply ring carries response envelopes plus read
-// payloads, so it gets the larger share. Frames larger than a ring are
-// written in chunks, with the consumer draining concurrently.
+// Default queue capacities. The command queue carries request frames plus
+// posted write payloads; the reply queue carries response frames including
+// read payloads, so it gets the larger share. Payloads larger than a quarter
+// of a queue are split into several records, with the consumer draining
+// concurrently.
 const (
 	DefaultCmdBytes   = 256 << 10
 	DefaultReplyBytes = 1 << 20
 )
 
-// ErrClosed reports a write to (or a wait on) a ring whose segment was
+// MaxLanes bounds a segment's lane table; a lane is one session's slot on
+// the shared segment.
+const MaxLanes = 256
+
+// ErrClosed reports a write to (or a wait on) a queue whose segment was
 // closed by either side.
 var ErrClosed = errors.New("shm: ring closed")
 
@@ -69,11 +75,11 @@ var ErrClosed = errors.New("shm: ring closed")
 // transport; callers fall back to the pipe transport.
 var ErrUnsupported = errors.New("shm: shared-memory transport unsupported on this platform")
 
-// Stats is a point-in-time snapshot of one ring's wait behaviour, exposed so
-// tests can pin the spin-then-park contract (a parked ring must not spin)
+// Stats is a point-in-time snapshot of one queue's wait behaviour, exposed so
+// tests can pin the spin-then-park contract (a parked consumer must not spin)
 // and benchmarks can report doorbell amortization. Parks and Spins are local
-// to the calling process; Doorbells and Suppressed live in the shared ring
-// header and therefore count both processes' wake decisions on this ring.
+// to the calling process; Doorbells and Suppressed live in the shared queue
+// header and therefore count both processes' wake decisions on this queue.
 type Stats struct {
 	Parks      uint64 // times this process gave up spinning and blocked on a doorbell
 	Doorbells  uint64 // doorbell syscalls issued to wake a parked peer (both sides)

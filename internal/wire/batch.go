@@ -39,7 +39,7 @@ type BatchWriter struct {
 	mu       sync.Mutex
 	w        io.Writer
 	data     io.Writer      // optional side channel for posted payloads
-	fc       FlushCoalescer // w's doorbell-deferral hook, when it has one (shm ring)
+	fc       FlushCoalescer // w's doorbell-deferral hook, when it has one (shm lane)
 	cur      *pendingBatch
 	flushing bool
 	err      error // sticky transport failure
@@ -125,7 +125,7 @@ type pendingBatch struct {
 
 // NewBatchWriter returns a batching frame writer over w. When data is
 // non-nil, WritePost streams payloads on it in command order. A w that
-// coalesces flushes (FlushCoalescer — the shm ring's doorbell deferral) is
+// coalesces flushes (FlushCoalescer — an shm lane's doorbell deferral) is
 // detected here once and bracketed on every flush.
 func NewBatchWriter(w, data io.Writer) *BatchWriter {
 	fc, _ := w.(FlushCoalescer)
@@ -340,7 +340,7 @@ func (b *BatchWriter) submit(add func(*pendingBatch) error) error {
 
 // writeBatch emits one batch: control bytes first, then any posted payloads
 // on the data channel. On a flush-coalescing channel the whole batch rides
-// one doorbell decision — the bracket defers the ring's per-publish wake to
+// one doorbell decision — the bracket defers the queue's per-publish wake to
 // EndFlush, so a group-committed flush rings at most once. Only one leader
 // runs at a time (successive leaders are ordered by b.mu), which is what
 // lets the coalescer keep plain state.

@@ -13,8 +13,9 @@ import (
 // per wakeup.
 
 // FlushCoalescer is implemented by writers that can defer their peer-wakeup
-// decision across a group of writes — the shared-memory ring, which rings
-// an eventfd doorbell per publish unless told a batch is in progress.
+// decision across a group of writes — a shared-memory lane's producers,
+// which ring an eventfd doorbell per publish unless told a batch is in
+// progress.
 // BatchWriter brackets each group-committed flush with BeginFlush/EndFlush,
 // so a batch of N frames costs at most one doorbell instead of N.
 //
@@ -27,8 +28,8 @@ type FlushCoalescer interface {
 
 // SelfBuffered marks stream sources that already amortize wakeups
 // internally — each Read drains every available byte without a per-call
-// syscall, the way the shared-memory ring serves published bytes straight
-// from the mapping. Wrapping such a source in a DrainReader would add a
+// syscall, the way a shared-memory lane serves bytes already demultiplexed
+// into memory. Wrapping such a source in a DrainReader would add a
 // memcpy and buy nothing, so mux construction skips it.
 type SelfBuffered interface {
 	SelfBuffered()
@@ -73,7 +74,7 @@ func NewDrainReader(src io.Reader) *DrainReader {
 }
 
 // WrapDrain prepares src for a frame-decoding receive loop: sources that
-// already drain internally (SelfBuffered — the shm ring) pass through with a
+// already drain internally (SelfBuffered — an shm lane) pass through with a
 // nil DrainReader, everything else is wrapped. The caller keeps the
 // DrainReader for Stats and Release.
 func WrapDrain(src io.Reader) (io.Reader, *DrainReader) {

@@ -11,20 +11,47 @@ import (
 	"repro/internal/shm"
 )
 
+// laneReader reassembles one lane's records from an shm queue into the byte
+// stream a session reads, the way the lane demultiplexers do; the lane's
+// in-band end-of-stream (or the queue's close) ends it with io.EOF.
+type laneReader struct {
+	q   *shm.MPSCQueue
+	buf []byte
+	eos bool
+}
+
+func (r *laneReader) Read(p []byte) (int, error) {
+	for len(r.buf) == 0 {
+		if r.eos {
+			return 0, io.EOF
+		}
+		if err := r.q.Drain(func(_ uint16, kind shm.RecordKind, b []byte) {
+			if kind == shm.RecordEOS {
+				r.eos = true
+			}
+			r.buf = append(r.buf, b...)
+		}); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, r.buf)
+	r.buf = r.buf[n:]
+	return n, nil
+}
+
 // TestRingStreamTornBoundaries is the shared-memory counterpart of
 // TestBatchedStreamTornBoundaries: a batched frame stream pushed through a
-// real shm ring and cut off at an arbitrary byte — the producer closing the
-// ring mid-stream, exactly what a dying parent's segment teardown looks
-// like — must yield every complete frame intact and then fail with the same
-// terminal shapes as a torn pipe: io.EOF on a frame boundary,
-// io.ErrUnexpectedEOF inside a frame. The mux poisoning discipline keys on
-// those two shapes, so this is what makes crash handling carrier-agnostic.
-// Frames are consumed through both payload paths — copied out with
-// ReadPayload and skipped with DiscardPayload, the latter exercising the
-// ring's copy-free Discarder fast path.
+// real shm lane and cut off at an arbitrary byte — the producer ending the
+// lane mid-stream, which is what the session side sees when a sentinel dies
+// or its segment is torn down — must yield every complete frame intact and
+// then fail with the same terminal shapes as a torn pipe: io.EOF on a frame
+// boundary, io.ErrUnexpectedEOF inside a frame. The mux poisoning discipline
+// keys on those two shapes, so this is what makes crash handling
+// carrier-agnostic. Frames are consumed through both payload paths — copied
+// out with ReadPayload and skipped with DiscardPayload.
 func TestRingStreamTornBoundaries(t *testing.T) {
 	if !shm.Supported() {
-		t.Skip("shm rings unsupported on this platform")
+		t.Skip("shm lanes unsupported on this platform")
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -60,16 +87,16 @@ func TestRingStreamTornBoundaries(t *testing.T) {
 			cuts = append(cuts, rng.Intn(len(full)+1))
 		}
 		for _, cut := range cuts {
-			seg, err := shm.New(4096, 4096)
+			seg, err := shm.NewMPSC(1, 4096, 4096)
 			if err != nil {
-				t.Fatalf("shm.New: %v", err)
+				t.Fatalf("shm.NewMPSC: %v", err)
 			}
-			ring := seg.Cmd()
-			// The producer: ship the stream's first cut bytes, then tear the
-			// ring down — the crash point.
+			q := seg.Cmd()
+			// The producer: ship the stream's first cut bytes, then end the
+			// lane — the crash point.
 			go func(prefix []byte) {
-				ring.Write(prefix)
-				ring.Close()
+				q.Producer(0, shm.RecordFrame).Write(prefix)
+				q.SendEOS(0)
 			}(full[:cut])
 
 			wantComplete := 0
@@ -78,7 +105,7 @@ func TestRingStreamTornBoundaries(t *testing.T) {
 					wantComplete++
 				}
 			}
-			r := NewReader(ring)
+			r := NewReader(&laneReader{q: q})
 			var decoded int
 			for {
 				var req Request
@@ -104,7 +131,7 @@ func TestRingStreamTornBoundaries(t *testing.T) {
 						break
 					}
 					if !bytes.Equal(payload, want.Data) {
-						t.Fatalf("cut %d: frame %d payload corrupt off the ring", cut, decoded)
+						t.Fatalf("cut %d: frame %d payload corrupt off the lane", cut, decoded)
 					}
 				}
 				decoded++

@@ -529,7 +529,7 @@ func (fr *Reader) ReadPayload(dst []byte) error {
 }
 
 // Discarder is implemented by sources that can drop pending bytes in place —
-// bufio.Reader and the shared-memory ring. DiscardPayload prefers it so a
+// bufio.Reader and a shared-memory lane. DiscardPayload prefers it so a
 // skipped payload advances a cursor instead of being copied through scratch.
 type Discarder interface {
 	Discard(n int) (int, error)
