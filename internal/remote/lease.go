@@ -13,11 +13,6 @@ import (
 // rather than stalling writers forever.
 const DefaultRevokeTimeout = time.Second
 
-// leasePoll is the granularity of the table's wait loops — the same
-// sleep-poll idiom the server's drain loop uses, cheap at the sub-ms
-// timescales the protocol operates on.
-const leasePoll = 100 * time.Microsecond
-
 // LeaseStats counts lease-protocol activity on one server.
 type LeaseStats struct {
 	Grants         uint64 // leases issued (including re-grants)
@@ -36,6 +31,11 @@ type LeaseStats struct {
 // and therefore its session. Grants issued while a round is in progress wait
 // until it completes, so a freshly granted lease always observes the write's
 // bytes.
+//
+// Nothing polls. A running round is a channel the waiting grants and writes
+// block on, closed when the round ends; the round's ack wait is a second
+// channel, closed by whichever ack, disconnection or rebind leaves no holder
+// behind the round's epoch.
 //
 // Holders are keyed by connection: a connection binds one object, acks and
 // disconnections are attributed to it, and a closed connection's lease
@@ -57,8 +57,25 @@ type leaseTable struct {
 type objLease struct {
 	name    string
 	epoch   uint64
-	writing bool // a revoke/apply round is in progress; grants wait
+	round   chan struct{} // non-nil while a revoke/apply round runs; closed when it ends
+	target  uint64        // the running round's epoch
+	settled chan struct{} // non-nil while the round waits for acks; closed when none is owed
 	holders map[any]*connLease
+}
+
+// settle closes the round's ack wait once no holder is behind its epoch.
+// Every path that advances or removes a holder calls it with t.mu held.
+func (o *objLease) settle() {
+	if o.settled == nil {
+		return
+	}
+	for _, h := range o.holders {
+		if h.acked < o.target {
+			return
+		}
+	}
+	close(o.settled)
+	o.settled = nil
 }
 
 // connLease is one connection's lease on one object.
@@ -98,6 +115,18 @@ func (t *leaseTable) obj(name string) *objLease {
 	return o
 }
 
+// awaitRound blocks until no write round runs on o. t.mu is held on entry
+// and on return; it is released while waiting, so the condition is
+// re-checked each time a round ends (another waiter may open the next one).
+func (t *leaseTable) awaitRound(o *objLease) {
+	for o.round != nil {
+		round := o.round
+		t.mu.Unlock()
+		<-round
+		t.mu.Lock()
+	}
+}
+
 // grant issues (or refreshes) conn's lease on name, returning the lease
 // epoch. It blocks while a write round is in progress, so the returned epoch
 // is never about to be revoked by an already-committed write. push enqueues
@@ -105,13 +134,10 @@ func (t *leaseTable) obj(name string) *objLease {
 func (t *leaseTable) grant(conn any, name string, push func(uint64), kill func()) uint64 {
 	t.mu.Lock()
 	o := t.obj(name)
-	for o.writing {
-		t.mu.Unlock()
-		time.Sleep(leasePoll)
-		t.mu.Lock()
-	}
+	t.awaitRound(o)
 	if prev := t.byConn[conn]; prev != nil && prev.obj != o {
 		delete(prev.obj.holders, conn) // connection rebound to another object
+		prev.obj.settle()
 	}
 	h := o.holders[conn]
 	if h == nil {
@@ -131,6 +157,7 @@ func (t *leaseTable) ack(conn any, epoch uint64) {
 	t.mu.Lock()
 	if h := t.byConn[conn]; h != nil && epoch > h.acked {
 		h.acked = epoch
+		h.obj.settle()
 	}
 	t.mu.Unlock()
 }
@@ -143,6 +170,7 @@ func (t *leaseTable) dropConn(conn any) {
 	if h := t.byConn[conn]; h != nil {
 		delete(h.obj.holders, conn)
 		delete(t.byConn, conn)
+		h.obj.settle()
 	}
 	t.mu.Unlock()
 }
@@ -155,12 +183,9 @@ func (t *leaseTable) dropConn(conn any) {
 func (t *leaseTable) beginWrite(name string) func() {
 	t.mu.Lock()
 	o := t.obj(name)
-	for o.writing {
-		t.mu.Unlock()
-		time.Sleep(leasePoll)
-		t.mu.Lock()
-	}
-	o.writing = true
+	t.awaitRound(o)
+	round := make(chan struct{})
+	o.round = round
 
 	// The epoch advances on EVERY write, holders or not. A client whose lease
 	// lapsed (its connection dropped) still holds blocks tagged with the old
@@ -178,6 +203,9 @@ func (t *leaseTable) beginWrite(name string) func() {
 				pushes = append(pushes, h.push)
 			}
 		}
+		settled := make(chan struct{})
+		o.target, o.settled = target, settled
+		o.settle() // at once if no holder is behind target (pushes is empty)
 		t.mu.Unlock()
 		t.rounds.Add(1)
 		for _, p := range pushes {
@@ -185,44 +213,35 @@ func (t *leaseTable) beginWrite(name string) func() {
 			t.revokes.Add(1)
 		}
 
-		deadline := time.Now().Add(t.timeout)
-		t.mu.Lock()
-		for {
-			settled := true
-			for _, h := range o.holders {
-				if h.acked < target {
-					settled = false
-					break
-				}
-			}
-			if settled {
-				break
-			}
-			if time.Now().After(deadline) {
-				// Liveness backstop: evict unresponsive holders. Closing the
-				// connection invalidates the client's session — it cannot
-				// keep serving cached blocks without redialing and
-				// re-leasing, which hands it the post-write epoch.
-				for conn, h := range o.holders {
-					if h.acked < target {
-						delete(o.holders, conn)
-						delete(t.byConn, conn)
-						t.timeouts.Add(1)
-						go h.kill() // conn close; async, the conn teardown re-calls dropConn harmlessly
-					}
-				}
-				break
-			}
-			t.mu.Unlock()
-			time.Sleep(leasePoll)
+		timer := time.NewTimer(t.timeout)
+		select {
+		case <-settled:
+			timer.Stop()
 			t.mu.Lock()
+		case <-timer.C:
+			// Liveness backstop: evict unresponsive holders. Closing the
+			// connection invalidates the client's session — it cannot keep
+			// serving cached blocks without redialing and re-leasing, which
+			// hands it the post-write epoch. An ack that raced the timer
+			// has already left its holder at target and is kept.
+			t.mu.Lock()
+			for conn, h := range o.holders {
+				if h.acked < target {
+					delete(o.holders, conn)
+					delete(t.byConn, conn)
+					t.timeouts.Add(1)
+					go h.kill() // conn close; async, the conn teardown re-calls dropConn harmlessly
+				}
+			}
+			o.settled = nil
 		}
 	}
 	t.mu.Unlock()
 
 	return func() {
 		t.mu.Lock()
-		o.writing = false
+		o.round = nil
 		t.mu.Unlock()
+		close(round)
 	}
 }
