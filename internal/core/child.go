@@ -88,75 +88,17 @@ func runChild() error {
 			// handler instance.
 			return runLaneChild(openProgram, ctrl, o)
 		}
-		// Drain-mode intake: one read syscall per wakeup pulls every command
-		// frame the control pipe has ready. Wrapped exactly once, HERE, so
-		// the pool handshake below and serveControl decode from the same
-		// buffer; a second wrapper would strand buffered frames in the first.
-		cmds, _ := wire.WrapDrain(ctrl)
-		var handler Handler
-		if os.Getenv(envPooled) != "" {
-			// Warm-pool child. The ready beacon (Seq 0) tells the pool this
-			// child has booted; the pool consumes it before parking the
-			// entry, so an adoption's handshake latency is a pipe round
-			// trip, never the tail of exec+runtime-init. The program opens
-			// only when a parent adopts this sentinel with OpOpen; a clean
-			// EOF instead means the pool drained us unused.
-			if err := wire.NewWriter(out).WriteResponse(&wire.Response{Status: wire.StatusOK}); err != nil {
-				return fmt.Errorf("pool ready beacon: %w", err)
-			}
-			handler, err = answerOpen(cmds, out, openProgram)
-			if err != nil || handler == nil {
-				return err
-			}
-		} else if handler, err = openProgram(); err != nil {
+		handler, err := openProgram()
+		if err != nil {
 			return err
 		}
+		// Drain-mode intake: one read syscall per wakeup pulls every command
+		// frame the control pipe has ready.
+		cmds, _ := wire.WrapDrain(ctrl)
 		return serveControl(handler, in, out, cmds, o)
 	default:
 		return fmt.Errorf("strategy %v cannot run as a subprocess", strategy)
 	}
-}
-
-// answerOpen serves the OpOpen handshake that binds a running sentinel — a
-// warm-pool child or a lane server — to its session: it reads the first
-// request from cmds, opens the program, and answers on resps with the
-// outcome. It returns (nil, nil) when cmds ends before any request — the
-// sentinel was retired unused. A fresh frame reader is safe here:
-// wire.Reader never reads ahead of the current frame, so serveControl's own
-// reader picks up at the next frame boundary after the handshake.
-func answerOpen(cmds io.Reader, resps io.Writer, open func() (Handler, error)) (Handler, error) {
-	reqs := wire.NewReader(cmds)
-	req, _, err := reqs.ReadRequestHeader()
-	if errors.Is(err, io.EOF) {
-		return nil, nil
-	}
-	if err == nil {
-		err = reqs.DiscardPayload()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("open handshake: %w", err)
-	}
-	w := wire.NewWriter(resps)
-	if req.Op != wire.OpOpen {
-		err := fmt.Errorf("open handshake: unexpected %s before open", req.Op)
-		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError, Msg: err.Error()})
-		return nil, err
-	}
-	handler, oerr := open()
-	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
-	if oerr != nil {
-		resp.Status, resp.Msg = wire.FromError(oerr)
-		if resp.Status == wire.StatusOK {
-			resp.Status = wire.StatusError
-		}
-	}
-	if werr := w.WriteResponse(&resp); werr != nil {
-		if handler != nil {
-			handler.Close()
-		}
-		return nil, fmt.Errorf("open handshake reply: %w", werr)
-	}
-	return handler, oerr
 }
 
 // serveStream is the plain-process sentinel loop, the shape of the paper's

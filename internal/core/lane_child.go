@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/shm"
+	"repro/internal/wire"
 )
 
 // The lane sentinel: one child process serving every session on a lane
@@ -137,4 +138,46 @@ func serveLane(seg *shm.MPSCSegment, lane uint16, l *laneStreams, open func() (H
 		!errors.Is(err, io.EOF) && !errors.Is(err, shm.ErrClosed) {
 		fmt.Fprintf(os.Stderr, "af lane sentinel: lane %d: %v\n", lane, err)
 	}
+}
+
+// answerOpen serves the OpOpen handshake that binds a lane server to its
+// session: it reads the first request from cmds, opens the program, and
+// answers on resps with the outcome. It returns (nil, nil) when cmds ends
+// before any request — the lane was released unused. A fresh frame reader is
+// safe here: wire.Reader never reads ahead of the current frame, so
+// serveControl's own reader picks up at the next frame boundary after the
+// handshake.
+func answerOpen(cmds io.Reader, resps io.Writer, open func() (Handler, error)) (Handler, error) {
+	reqs := wire.NewReader(cmds)
+	req, _, err := reqs.ReadRequestHeader()
+	if errors.Is(err, io.EOF) {
+		return nil, nil
+	}
+	if err == nil {
+		err = reqs.DiscardPayload()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("open handshake: %w", err)
+	}
+	w := wire.NewWriter(resps)
+	if req.Op != wire.OpOpen {
+		err := fmt.Errorf("open handshake: unexpected %s before open", req.Op)
+		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError, Msg: err.Error()})
+		return nil, err
+	}
+	handler, oerr := open()
+	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
+	if oerr != nil {
+		resp.Status, resp.Msg = wire.FromError(oerr)
+		if resp.Status == wire.StatusOK {
+			resp.Status = wire.StatusError
+		}
+	}
+	if werr := w.WriteResponse(&resp); werr != nil {
+		if handler != nil {
+			handler.Close()
+		}
+		return nil, fmt.Errorf("open handshake reply: %w", werr)
+	}
+	return handler, oerr
 }

@@ -17,13 +17,15 @@ import (
 )
 
 // newLaneManifest creates one lane-plane active file and returns its path
-// and manifest; sessions opened from it share MPSC segments. The hub is
-// drained at cleanup so shared children never outlive the test.
+// and manifest; sessions opened from it share MPSC segments. lanes 0 leaves
+// transport and shmlanes unset, for extra params that select the plane
+// themselves. The hub is drained at cleanup so shared children never
+// outlive the test.
 func newLaneManifest(t *testing.T, lanes int, extra map[string]string) (string, vfs.Manifest) {
 	t.Helper()
-	params := map[string]string{
-		"transport": "shm",
-		"shmlanes":  fmt.Sprint(lanes),
+	params := map[string]string{}
+	if lanes > 0 {
+		params["transport"], params["shmlanes"] = "shm", fmt.Sprint(lanes)
 	}
 	for k, v := range extra {
 		params[k] = v
@@ -99,21 +101,28 @@ func TestLaneTransportEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLaneSessionsShareSegment is the descriptor-economy criterion: 256
-// sessions multiplexed on one shared segment must cost the parent exactly
-// one extra segment (five descriptors, four of them doorbells) — O(1) fds
-// per segment, not per session — and everything must return to baseline
-// once the last session closes.
+// TestLaneSessionsShareSegment is the descriptor-economy criterion: up to
+// 256 sessions multiplexed on one shared segment must cost the parent
+// exactly one extra segment (five descriptors, four of them doorbells) —
+// O(1) fds per segment, not per session — the 257th session exactly one
+// more, and everything must return to baseline once the last session
+// closes.
 func TestLaneSessionsShareSegment(t *testing.T) {
 	requireShm(t)
 	if testing.Short() {
 		t.Skip("256-session sweep in -short mode")
 	}
+	for _, sessions := range []int{64, 256, 257} {
+		t.Run(fmt.Sprint(sessions), func(t *testing.T) { laneSessionsShareSegment(t, sessions) })
+	}
+}
+
+func laneSessionsShareSegment(t *testing.T, sessions int) {
+	const lanes = 256
 	base := shm.SnapshotFDs()
-	path, m := newLaneManifest(t, 256, map[string]string{"readahead": "false"})
+	path, m := newLaneManifest(t, lanes, map[string]string{"readahead": "false"})
 	o := mustOptions(t, m)
 
-	const sessions = 256
 	trs := make([]*procCtlTransport, sessions)
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
@@ -142,15 +151,26 @@ func TestLaneSessionsShareSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	segments := int64((sessions + lanes - 1) / lanes)
 	now := shm.SnapshotFDs()
-	if got := now.Segments - base.Segments; got != 1 {
-		t.Fatalf("256 lane sessions mapped %d segments, want 1", got)
+	if got := now.Segments - base.Segments; got != segments {
+		t.Fatalf("%d lane sessions mapped %d segments, want %d", sessions, got, segments)
 	}
-	if got := now.DoorbellFDs - base.DoorbellFDs; got != 4 {
-		t.Fatalf("256 lane sessions pinned %d doorbell fds, want 4", got)
+	if got := now.DoorbellFDs - base.DoorbellFDs; got != 4*segments {
+		t.Fatalf("%d lane sessions pinned %d doorbell fds, want %d", sessions, got, 4*segments)
 	}
-	if got := now.LaneSessions - base.LaneSessions; got != sessions {
+	if got := now.LaneSessions - base.LaneSessions; got != int64(sessions) {
 		t.Fatalf("lane session gauge = %d, want %d", got, sessions)
+	}
+	perSegment := make(map[*laneSegment]int)
+	for _, tr := range trs {
+		perSegment[tr.lane.ls]++
+	}
+	for _, tr := range trs {
+		ds := tr.dataPlaneStats()
+		if ds.SegmentFDs != 5 || ds.DoorbellFDs != 4 || ds.SegmentSessions != perSegment[tr.lane.ls] {
+			t.Fatalf("session stats = %+v, want 5 segment fds, 4 doorbells, %d sessions", ds, perSegment[tr.lane.ls])
+		}
 	}
 	for _, tr := range trs {
 		if tr == nil {

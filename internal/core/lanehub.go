@@ -21,7 +21,9 @@ import (
 // fresh segment and sentinel only when every lane is taken. A segment has
 // shmlanes lanes, one by default: a private carrier and sentinel per
 // session. A segment retires, its sentinel reaped, when its last session
-// closes.
+// closes — unless the manifest sets pool=N and its file has fewer than N
+// idle segments, in which case it stays booted so the next open claims a
+// lane instead of spawning.
 
 // laneHub is the process-wide registry of live lane segments, keyed by
 // manifest path so sessions of different active files never share a
@@ -40,7 +42,7 @@ var lanePlane = &laneHub{segs: make(map[string][]*laneSegment)}
 // registry, segment creation and the sentinel's start: the caller's OpOpen
 // handshake is what waits for the sentinel to boot, outside the lock, so
 // opens of other files never queue behind a boot.
-func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, string) {
+func (h *laneHub) acquire(path string, m vfs.Manifest, o sessionOptions) (*laneConn, string) {
 	if !shm.Supported() {
 		return nil, "platform does not support shared-memory segments"
 	}
@@ -61,10 +63,11 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 	if conn != nil {
 		return conn, ""
 	}
-	ls, err := spawnLaneSegment(path, m, lanes)
+	ls, err := spawnLaneSegment(path, m, o.lanes)
 	if err != nil {
 		return nil, fmt.Sprintf("lane segment spawn failed: %v", err)
 	}
+	ls.pool = o.pool
 	conn = ls.claim()
 	if conn == nil {
 		ls.shutdown()
@@ -75,15 +78,17 @@ func (h *laneHub) acquire(path string, m vfs.Manifest, lanes int) (*laneConn, st
 }
 
 // release hands c's lane back. When no session holds a lane on the segment
-// any more, the segment leaves the registry under the hub lock, so no
-// concurrent open can claim on it, and is shut down — its sentinel reaped —
-// before release returns.
+// any more, it is kept if its file has fewer than pool other such segments;
+// otherwise it leaves the registry under the hub lock, so no concurrent open
+// can claim on it, and is shut down — its sentinel reaped — before release
+// returns. Segments without a session count toward pool even while a lane
+// still drains, so concurrent closes never keep more than pool of them.
 func (h *laneHub) release(c *laneConn) {
 	ls := c.ls
 	h.mu.Lock()
 	ls.release(c)
 	claimed, _ := ls.seg.LaneCounts()
-	retire := claimed == 0
+	retire := claimed == 0 && (ls.pool == 0 || ls.isDead() || h.unclaimed(ls.path, ls, false) >= ls.pool)
 	if retire {
 		h.segs[ls.path] = slices.DeleteFunc(h.segs[ls.path], func(s *laneSegment) bool { return s == ls })
 		if len(h.segs[ls.path]) == 0 {
@@ -96,17 +101,44 @@ func (h *laneHub) release(c *laneConn) {
 	}
 }
 
-// drain tears down every segment of the hub; sessions still open observe
-// the closure as a transport failure.
-func (h *laneHub) drain() {
+// unclaimed counts path's live segments other than except on which no
+// session holds a lane; settled also excludes those with a lane still
+// draining a released session's replies. Called with h.mu held.
+func (h *laneHub) unclaimed(path string, except *laneSegment, settled bool) int {
+	n := 0
+	for _, ls := range h.segs[path] {
+		if ls == except || ls.isDead() {
+			continue
+		}
+		if claimed, draining := ls.seg.LaneCounts(); claimed == 0 && (!settled || draining == 0) {
+			n++
+		}
+	}
+	return n
+}
+
+// drain tears down the hub's segments — all of them, or with idleOnly just
+// those no session holds a lane on; sessions still open on a torn-down
+// segment observe the closure as a transport failure.
+func (h *laneHub) drain(idleOnly bool) {
 	h.mu.Lock()
-	var all []*laneSegment
+	var gone []*laneSegment
 	for path, segs := range h.segs {
-		all = append(all, segs...)
-		delete(h.segs, path)
+		segs = slices.DeleteFunc(segs, func(ls *laneSegment) bool {
+			if idleOnly {
+				if claimed, _ := ls.seg.LaneCounts(); claimed > 0 {
+					return false
+				}
+			}
+			gone = append(gone, ls)
+			return true
+		})
+		if h.segs[path] = segs; len(segs) == 0 {
+			delete(h.segs, path)
+		}
 	}
 	h.mu.Unlock()
-	for _, ls := range all {
+	for _, ls := range gone {
 		ls.shutdown()
 	}
 }
@@ -114,12 +146,27 @@ func (h *laneHub) drain() {
 // DrainSharedSegments retires every shm lane segment and reaps their
 // sentinel children. Sessions still multiplexed on one fail as if the
 // sentinel died. New opens spawn fresh segments.
-func DrainSharedSegments() { lanePlane.drain() }
+func DrainSharedSegments() { lanePlane.drain(false) }
+
+// DrainSentinelPool retires every lane segment no session holds a lane on —
+// the warm segments pool=N keeps — and reaps their sentinels. Segments
+// serving open sessions are left alone.
+func DrainSentinelPool() { lanePlane.drain(true) }
+
+// IdleSentinels reports how many warm lane segments the manifest at path
+// has: live segments with no lane claimed or still draining, so the next
+// open claims a lane on one without spawning.
+func IdleSentinels(path string) int {
+	lanePlane.mu.Lock()
+	defer lanePlane.mu.Unlock()
+	return lanePlane.unclaimed(path, nil, true)
+}
 
 // laneSegment is one shared segment: the MPSC mapping, the sentinel child
 // serving its lanes, and the demux loop routing reply records to sessions.
 type laneSegment struct {
 	path string
+	pool int // idle segments of path kept booted (param "pool")
 	seg  *shm.MPSCSegment
 	cf   *ipc.ChannelFiles
 	cmd  *exec.Cmd
@@ -308,7 +355,7 @@ func (c *laneConn) setOnFail(f func(error)) { c.onFail.Store(&f) }
 // child's lane server to finish (it answers with its own reply-EOS, which
 // quiesces the lane), the response queue releases the mux receive loop, and
 // the lane goes back to the hub, which retires the segment if this was its
-// last session.
+// last session and pool does not keep it warm.
 func (c *laneConn) Close() error {
 	c.once.Do(func() {
 		c.ls.seg.Cmd().SendEOS(c.lane) // best-effort; the segment may be dead
@@ -324,7 +371,7 @@ func (c *laneConn) Close() error {
 // the caller falls back to pipes; a non-nil error is the program's own open
 // failure, which a pipe sentinel would report identically.
 func acquireLaneTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, string, error) {
-	conn, reason := lanePlane.acquire(manifestPath, m, o.lanes)
+	conn, reason := lanePlane.acquire(manifestPath, m, o)
 	if conn == nil {
 		return nil, reason, nil
 	}

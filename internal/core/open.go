@@ -22,7 +22,7 @@ type Options struct {
 type sessionOptions struct {
 	transport   string        // procctl carrier: "pipe" (default) or "shm" (param "transport")
 	lanes       int           // sessions per shm segment, 1..shm.MaxLanes (param "shmlanes"; 1 when unset)
-	pool        int           // warm procctl sentinels kept per file (param "pool"; 0 disables)
+	pool        int           // idle lane segments kept booted per file (param "pool"; 0 retires on last close)
 	opTimeout   time.Duration // per-exchange deadline (param "optimeout", a Go duration; 0 disables)
 	readAhead   bool          // read-ahead windows, on unless param "readahead" is "false"
 	writeBehind bool          // write coalescing, off unless param "writebehind" is "true"
@@ -44,6 +44,21 @@ func parseSessionOptions(m vfs.Manifest) (sessionOptions, error) {
 	default:
 		return o, fmt.Errorf("core: bad transport param %q (want pipe or shm)", v)
 	}
+	if v := p["pool"]; v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return o, fmt.Errorf("core: bad pool param %q", v)
+		}
+		// Warm segments live on the lane plane: pool selects it when no
+		// carrier is named, and pipes cannot host it.
+		if n > 0 {
+			if p["transport"] == "pipe" {
+				return o, fmt.Errorf("core: pool=%d requires transport=shm, not transport=pipe", n)
+			}
+			o.transport = "shm"
+		}
+		o.pool = n
+	}
 	if v := p["shmlanes"]; v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > shm.MaxLanes {
@@ -53,13 +68,6 @@ func parseSessionOptions(m vfs.Manifest) (sessionOptions, error) {
 			return o, fmt.Errorf("core: shmlanes=%d requires transport=shm", n)
 		}
 		o.lanes = n
-	}
-	if v := p["pool"]; v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return o, fmt.Errorf("core: bad pool param %q", v)
-		}
-		o.pool = n
 	}
 	if v := p["optimeout"]; v != "" {
 		d, err := time.ParseDuration(v)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,10 +24,6 @@ const (
 	envChildMarker = "AF_SENTINEL_CHILD"
 	envManifest    = "AF_MANIFEST"
 	envStrategy    = "AF_STRATEGY"
-	// envPooled marks a pre-spawned warm-pool sentinel: the child defers
-	// opening its program until an OpOpen handshake arrives on the control
-	// channel (or exits cleanly on EOF if the pool drains it unused).
-	envPooled = "AF_SENTINEL_POOLED"
 	// envShmLanes marks a sentinel serving the lanes of an inherited shm
 	// segment and carries the segment's lane count.
 	envShmLanes = "AF_SENTINEL_SHM_LANES"
@@ -38,10 +33,9 @@ const (
 	// childWaitTimeout bounds how long Close waits for a sentinel subprocess
 	// to exit before killing it.
 	childWaitTimeout = 5 * time.Second
-	// handshakeTimeout bounds the wait for a running sentinel to answer: a
-	// warm-pool child's ready beacon, and the OpOpen handshake that binds a
-	// warm-pool child or a lane server to a session. A sentinel that cannot
-	// answer in time is discarded, so it can delay an open, never hang it.
+	// handshakeTimeout bounds the OpOpen handshake that binds a lane server
+	// to a session. A sentinel that cannot answer in time is discarded, so
+	// it can delay an open, never hang it.
 	handshakeTimeout = 5 * time.Second
 )
 
@@ -56,9 +50,8 @@ var ErrSentinelDied = errors.New("core: sentinel process died")
 // the segment's files follow the pipes and envShmLanes tells the child to
 // serve them. When the manifest names an external executable it is run
 // directly; otherwise the current binary is re-executed in child mode (the
-// offline substitute for a separate sentinel image). extraEnv entries
-// ("KEY=VALUE") are appended to the child environment.
-func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *shm.MPSCSegment, extraEnv ...string) (*exec.Cmd, *ipc.ChannelFiles, error) {
+// offline substitute for a separate sentinel image).
+func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *shm.MPSCSegment) (*exec.Cmd, *ipc.ChannelFiles, error) {
 	cf, err := ipc.NewChannelFiles(strategy == StrategyProcCtl)
 	if err != nil {
 		return nil, nil, err
@@ -79,7 +72,6 @@ func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *
 		envManifest+"="+manifestPath,
 		envStrategy+"="+strategy.String(),
 	)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.ExtraFiles = cf.ChildFiles()
 	if seg != nil {
 		cmd.Env = append(cmd.Env, envShmLanes+"="+strconv.Itoa(seg.Lanes()))
@@ -105,47 +97,21 @@ type childMonitor struct {
 	done chan struct{}
 	err  error // cmd.Wait result; valid once exited is true
 	dead atomic.Bool
-
-	hookMu sync.Mutex
-	hook   func(error) // current death callback; swappable via setOnDeath
-	fired  bool        // the callback slot has been consumed
 }
 
 // watchChild begins supervising cmd. onDeath (optional) runs on the
 // monitor's goroutine as soon as the child exits, with the wait error.
 func watchChild(cmd *exec.Cmd, onDeath func(error)) *childMonitor {
-	mon := &childMonitor{cmd: cmd, done: make(chan struct{}), hook: onDeath}
+	mon := &childMonitor{cmd: cmd, done: make(chan struct{})}
 	go func() {
 		mon.err = cmd.Wait()
 		mon.dead.Store(true) // publishes err: Store orders after the write
 		close(mon.done)
-		mon.hookMu.Lock()
-		cb := mon.hook
-		mon.fired = true
-		mon.hookMu.Unlock()
-		if cb != nil {
-			cb(mon.err)
+		if onDeath != nil {
+			onDeath(mon.err)
 		}
 	}()
 	return mon
-}
-
-// setOnDeath replaces the monitor's death callback — how a warm-pool
-// sentinel's supervision is handed from the pool (evict the idle entry) to
-// the transport that adopted it (poison the mux). If the child already died,
-// cb is invoked immediately on the caller's goroutine, so a handoff can
-// never miss the death notification.
-func (mon *childMonitor) setOnDeath(cb func(error)) {
-	mon.hookMu.Lock()
-	if mon.fired {
-		mon.hookMu.Unlock()
-		if cb != nil {
-			cb(mon.err)
-		}
-		return
-	}
-	mon.hook = cb
-	mon.hookMu.Unlock()
 }
 
 // exited reports, without blocking, whether the child has exited and with
@@ -272,14 +238,6 @@ type procCtlTransport struct {
 	mon       *childMonitor
 	closing   atomic.Bool // set by close(); suppresses the death hook
 	opTimeout time.Duration
-
-	// Warm-pool replenishment, armed for pooled manifests: close() tops the
-	// pool back up, so the replacement's fork+exec overlaps the NEXT
-	// session's application work instead of contending with the latency-
-	// sensitive open+first-ops window that follows an adoption.
-	poolPath string
-	poolM    vfs.Manifest
-	poolN    int
 }
 
 var _ transport = (*procCtlTransport)(nil)
@@ -309,23 +267,12 @@ func newProcCtlTransport(manifestPath string, m vfs.Manifest, o sessionOptions) 
 		// session a lane does, and the reason stays visible in the stats.
 		fallback = reason
 	}
-	if o.pool > 0 {
-		// Warm path: adopt a pre-spawned sentinel and rebind it with one
-		// pipe handshake instead of fork+exec. The pool is topped back up
-		// when this session closes, not here — see close().
-		if t, ok := acquireWarmTransport(manifestPath, o); ok {
-			t.fallback = fallback
-			t.poolPath, t.poolM, t.poolN = manifestPath, m, o.pool
-			return t, nil
-		}
-	}
 	cmd, cf, err := spawnSentinel(manifestPath, m, StrategyProcCtl, nil)
 	if err != nil {
 		return nil, err
 	}
 	t := newMuxTransport(ipc.PipeConn{CF: cf}, o)
 	t.cmd, t.cf, t.fallback = cmd, cf, fallback
-	t.poolPath, t.poolM, t.poolN = manifestPath, m, o.pool
 	// Sentinel death detection: waitpid fired while the session was open.
 	// Fail every blocked and future exchange right now — the pipes may
 	// deliver EOF only much later (or never, for the write pipe), and
@@ -342,11 +289,11 @@ func (t *procCtlTransport) fail(err error) {
 	}
 }
 
-// handshake binds an already-running sentinel — a warm-pool child or a lane
-// server — to this session: OpOpen makes it open its program, and the answer
-// carries the outcome. rtErr reports that no answer came within
-// handshakeTimeout (or the sentinel died first); openErr is the program's
-// own open error, which a freshly spawned sentinel would report identically.
+// handshake binds an already-running lane server to this session: OpOpen
+// makes it open its program, and the answer carries the outcome. rtErr
+// reports that no answer came within handshakeTimeout (or the sentinel died
+// first); openErr is the program's own open error, which a freshly spawned
+// sentinel would report identically.
 func (t *procCtlTransport) handshake() (rtErr, openErr error) {
 	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
 	defer cancel()
@@ -552,8 +499,8 @@ func (t *procCtlTransport) close() error {
 	if t.lane != nil {
 		// Lane session: closing the conduit handed the lane back, and
 		// retired the segment and reaped its sentinel if no other session
-		// holds a lane on it. The close barrier above already settled this
-		// session's writes.
+		// holds a lane on it and pool does not keep it. The close barrier
+		// above already settled this session's writes.
 		if rtErr != nil {
 			if waitErr, dead := t.mon.exited(); dead {
 				return sentinelDeath(waitErr)
@@ -563,11 +510,6 @@ func (t *procCtlTransport) close() error {
 		return wire.ToError(wire.OpClose, resp.Status, resp.Msg)
 	}
 	waitErr := t.mon.reap()
-	if t.poolN > 0 {
-		// Recycle point: replace whatever this session consumed from the
-		// warm pool (or prime it after a cold first open), off the open path.
-		procPool.ensure(t.poolPath, t.poolM, t.poolN)
-	}
 	switch {
 	case rtErr != nil && (errors.Is(rtErr, io.EOF) || errors.Is(rtErr, ErrSentinelDied)):
 		// Child already exited; its wait status is the verdict.

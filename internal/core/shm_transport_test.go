@@ -85,12 +85,16 @@ func TestShmLanesParam(t *testing.T) {
 	})
 }
 
-// TestPoolParam pins the warm-pool size knob.
+// TestPoolParam pins the warm-segment knob: a pool lives on the lane plane,
+// so it selects transport=shm when no carrier is named and refuses pipes.
 func TestPoolParam(t *testing.T) {
 	checkOptions(t, []optionsCase{
 		{params: map[string]string{"pool": ""}, want: defaultOptions},
 		{params: map[string]string{"pool": "0"}, want: defaultOptions},
-		{params: map[string]string{"pool": "4"}, want: withOptions(func(o *sessionOptions) { o.pool = 4 })},
+		{params: map[string]string{"pool": "0", "transport": "pipe"}, want: defaultOptions},
+		{params: map[string]string{"pool": "4"}, want: withOptions(func(o *sessionOptions) { o.transport, o.pool = "shm", 4 })},
+		{params: map[string]string{"pool": "2", "shmlanes": "8"}, want: withOptions(func(o *sessionOptions) { o.transport, o.pool, o.lanes = "shm", 2, 8 })},
+		{params: map[string]string{"pool": "2", "transport": "pipe"}, wantErr: "pool=2 requires transport=shm, not transport=pipe"},
 		{params: map[string]string{"pool": "-1"}, wantErr: "bad pool param"},
 		{params: map[string]string{"pool": "two"}, wantErr: "bad pool param"},
 	})

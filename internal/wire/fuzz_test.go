@@ -5,12 +5,97 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 // Robustness: decoders must never panic on arbitrary input — a corrupt or
 // malicious peer can put any bytes on a pipe.
+
+// The fuzz targets hold a Reader to three rules on whatever a peer writes:
+// it never panics; a declared length never makes it allocate past
+// MaxPayload, beyond copies of bytes the input really carries; and it
+// accepts only frames a Writer could have produced, so re-encoding an
+// accepted frame gives back its exact bytes. `go test` runs the seeds;
+// `go test -fuzz FuzzReadRequest ./internal/wire` explores.
+
+// fuzzAllocSlack covers the header scratch, the decoded value and runtime
+// noise in a decode's allocation count.
+const fuzzAllocSlack = 64 << 10
+
+// allocatedBy reports the heap bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAlloc fails t if decoding input cost more than the allocation rule
+// allows.
+func checkAlloc(t *testing.T, input []byte, alloc uint64) {
+	t.Helper()
+	if limit := uint64(MaxPayload + len(input) + fuzzAllocSlack); alloc > limit {
+		t.Fatalf("decoding %d input bytes allocated %d, over %d", len(input), alloc, limit)
+	}
+}
+
+// checkReencode fails t unless an accepted frame re-encoded (again, err) to
+// the bytes it was read from.
+func checkReencode(t *testing.T, input, again []byte, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("accepted frame does not re-encode: %v", err)
+	}
+	if len(again) > len(input) || !bytes.Equal(again, input[:len(again)]) {
+		t.Fatalf("re-encoded frame %x differs from input %x", again, input)
+	}
+}
+
+func FuzzReadRequest(f *testing.F) {
+	for op := OpOpen; op.Valid(); op++ {
+		frame, err := AppendRequest(nil, &Request{Op: op, Seq: uint32(op), Off: 4096, N: 7, Data: []byte("payload")})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var req Request
+		var err error
+		checkAlloc(t, input, allocatedBy(func() { req, err = NewReader(bytes.NewReader(input)).ReadRequest() }))
+		if err == nil {
+			again, err := AppendRequest(nil, &req)
+			checkReencode(t, input, again, err)
+		}
+	})
+}
+
+func FuzzReadResponse(f *testing.F) {
+	for op := OpOpen; op.Valid(); op++ {
+		// The answer to each op, cycling through every status.
+		resp := Response{Status: StatusOK + Status(op)%Status(len(statusNames)), Seq: uint32(op), N: 7, Data: []byte("payload")}
+		if resp.Status != StatusOK {
+			resp.Msg = op.String() + ": " + resp.Status.String()
+		}
+		frame, err := AppendResponse(nil, &resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var resp Response
+		var err error
+		checkAlloc(t, input, allocatedBy(func() { resp, err = NewReader(bytes.NewReader(input)).ReadResponse() }))
+		if err == nil {
+			again, err := AppendResponse(nil, &resp)
+			checkReencode(t, input, again, err)
+		}
+	})
+}
 
 func TestDecodeRequestNeverPanics(t *testing.T) {
 	f := func(frame []byte) bool {

@@ -422,14 +422,15 @@ func (fr *Reader) shrink() {
 	}
 }
 
-// checkHeaderRead validates the combined length-prefix-plus-header read.
-// Headers are fixed-size and always present, so both are fetched in one
-// ReadFull; a frame-length problem is still diagnosed first — even on a
-// truncated stream — as long as the four length bytes arrived.
-func checkHeaderRead(hdr []byte, n int, err error, headerLen int) error {
+// checkHeaderRead validates the combined length-prefix-plus-header read
+// against the frame-length bounds a Writer keeps. Headers are fixed-size and
+// always present, so both are fetched in one ReadFull; a frame-length
+// problem is still diagnosed first — even on a truncated stream — as long as
+// the four length bytes arrived.
+func checkHeaderRead(hdr []byte, n int, err error, headerLen, maxLen int) error {
 	if n >= 4 {
 		frameLen := int(binary.BigEndian.Uint32(hdr[:4]))
-		if frameLen > maxFrame {
+		if frameLen > maxLen {
 			return ErrFrameTooLarge
 		}
 		if frameLen < headerLen {
@@ -461,7 +462,7 @@ func (fr *Reader) ReadRequestHeader() (Request, int, error) {
 	fr.shrink()
 	hdr := fr.scratch(4 + reqHeaderLen)
 	n, err := io.ReadFull(fr.r, hdr)
-	if err := checkHeaderRead(hdr, n, err, reqHeaderLen); err != nil {
+	if err := checkHeaderRead(hdr, n, err, reqHeaderLen, reqHeaderLen+MaxPayload); err != nil {
 		return Request{}, 0, err
 	}
 	frameLen := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -487,7 +488,7 @@ func (fr *Reader) ReadResponseHeader() (Response, int, error) {
 	fr.shrink()
 	hdr := fr.scratch(4 + rspHeaderLen)
 	n, err := io.ReadFull(fr.r, hdr)
-	if err := checkHeaderRead(hdr, n, err, rspHeaderLen); err != nil {
+	if err := checkHeaderRead(hdr, n, err, rspHeaderLen, maxFrame); err != nil {
 		return Response{}, 0, err
 	}
 	frameLen := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -502,6 +503,9 @@ func (fr *Reader) ReadResponseHeader() (Response, int, error) {
 	msgLen := int(binary.BigEndian.Uint32(hdr[17:21]))
 	if msgLen < 0 || rspHeaderLen+msgLen > frameLen {
 		return Response{}, 0, ErrShortFrame
+	}
+	if msgLen > MaxPayload || frameLen-rspHeaderLen-msgLen > MaxPayload {
+		return Response{}, 0, ErrFrameTooLarge
 	}
 	if msgLen > 0 {
 		m := fr.scratch(msgLen)

@@ -234,12 +234,16 @@ func TestDecodeResponseErrors(t *testing.T) {
 }
 
 func TestReaderRejectsHugeFrame(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(maxFrame+1))
-	buf.Write(hdr[:])
-	if _, err := NewReader(&buf).ReadRequest(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("ReadRequest err = %v, want ErrFrameTooLarge", err)
+	// A request whose payload is one byte past MaxPayload is one no Writer
+	// would send, even though the frame fits under maxFrame.
+	for _, frameLen := range []int{maxFrame + 1, reqHeaderLen + MaxPayload + 1} {
+		var buf bytes.Buffer
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(frameLen))
+		buf.Write(hdr[:])
+		if _, err := NewReader(&buf).ReadRequest(); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("frame length %d: ReadRequest err = %v, want ErrFrameTooLarge", frameLen, err)
+		}
 	}
 }
 
