@@ -31,6 +31,7 @@ race:
 		./internal/fleet ./internal/remote ./internal/cache
 	$(GO) test -race -count=1 -run 'MPSC|Lane|Ring|Flush' \
 		./internal/shm ./internal/core
+	$(GO) test -race -count=3 -run 'Local|MemStore' ./internal/cache
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the

@@ -120,21 +120,63 @@ func (b *Passthrough) Close() error {
 }
 
 // Local is the Mode Disk / Mode Memory backend: operations hit a local store
-// (the data part on disk, or a memory buffer), and writes are optionally
-// propagated write-through to a remote source in the background of the
-// critical path (Figure 5, paths 2 and 3: "the sentinel interacts with its
-// local file rather than contacting the remote service").
+// (the data part on disk, or a memory buffer), and writes are written back
+// to a remote source on Sync/Close, off the critical path (Figure 5, paths
+// 2 and 3: "the sentinel interacts with its local file rather than
+// contacting the remote service"). Only what changed is written back: the
+// span of local bytes written since the last Sync, and the truncation of the
+// remote if the local copy was truncated (DESIGN.md §8.4).
 type Local struct {
 	local  RandomAccess
-	remote RandomAccess // optional write-through target
+	remote RandomAccess // optional write-back target
 
-	mu    sync.Mutex
-	dirty bool
+	mu      sync.Mutex
+	pending pending // guarded by mu
+
+	// syncMu serializes write-backs, so a truncate taken by one Sync can
+	// never land after a span pushed by a later one; it also owns buf.
+	syncMu sync.Mutex
+	buf    []byte // copy buffer for locals other than a MemStore
 }
 
 var _ Backend = (*Local)(nil)
 
-// NewLocal returns a backend serving from local, propagating writes to
+// pending is the write-back a Sync owes the remote: the span [lo, hi) of
+// the local copy written since the last Sync (empty when lo == hi), and the
+// lowest length the local copy was truncated to, if it was.
+type pending struct {
+	lo, hi    int64
+	truncated bool
+	mark      int64
+}
+
+// widen grows the span to cover [lo, hi).
+func (p *pending) widen(lo, hi int64) {
+	if p.lo == p.hi {
+		p.lo, p.hi = lo, hi
+		return
+	}
+	p.lo, p.hi = min(p.lo, lo), max(p.hi, hi)
+}
+
+// truncate records a truncation of the local copy to n.
+func (p *pending) truncate(n int64) {
+	if !p.truncated || n < p.mark {
+		p.truncated, p.mark = true, n
+	}
+}
+
+// merge folds q, a write-back that failed, back into p.
+func (p *pending) merge(q pending) {
+	if q.lo != q.hi {
+		p.widen(q.lo, q.hi)
+	}
+	if q.truncated {
+		p.truncate(q.mark)
+	}
+}
+
+// NewLocal returns a backend serving from local, writing changes back to
 // remote when it is non-nil.
 func NewLocal(local, remote RandomAccess) (*Local, error) {
 	if local == nil {
@@ -156,28 +198,37 @@ func (b *Local) Populate() error {
 	if err := b.local.Truncate(size); err != nil {
 		return fmt.Errorf("populate: truncate local: %w", err)
 	}
-	buf := make([]byte, 64*1024)
-	var off int64
-	for off < size {
-		n := len(buf)
-		if int64(n) > size-off {
-			n = int(size - off)
-		}
-		rn, rerr := b.remote.ReadAt(buf[:n], off)
+	b.syncMu.Lock()
+	defer b.syncMu.Unlock()
+	if err := b.copyRange(b.local, b.remote, 0, size); err != nil {
+		return fmt.Errorf("populate: %w", err)
+	}
+	return nil
+}
+
+// copyRange copies src's bytes [off, end) to dst at the same offsets through
+// b.buf, stopping early at src's end of file. The caller holds syncMu.
+func (b *Local) copyRange(dst io.WriterAt, src io.ReaderAt, off, end int64) error {
+	if b.buf == nil {
+		b.buf = make([]byte, 64*1024)
+	}
+	for off < end {
+		n := int(min(int64(len(b.buf)), end-off))
+		rn, rerr := src.ReadAt(b.buf[:n], off)
 		if rn > 0 {
-			if _, werr := b.local.WriteAt(buf[:rn], off); werr != nil {
-				return fmt.Errorf("populate: write local: %w", werr)
+			if _, werr := dst.WriteAt(b.buf[:rn], off); werr != nil {
+				return fmt.Errorf("write: %w", werr)
 			}
 			off += int64(rn)
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
-				break
+				return nil
 			}
-			return fmt.Errorf("populate: remote read: %w", rerr)
+			return fmt.Errorf("read: %w", rerr)
 		}
 		if rn == 0 {
-			break
+			return nil
 		}
 	}
 	return nil
@@ -187,12 +238,14 @@ func (b *Local) Populate() error {
 func (b *Local) ReadAt(p []byte, off int64) (int, error) { return b.local.ReadAt(p, off) }
 
 // WriteAt implements Backend: the local store is updated on the critical
-// path; the remote copy is marked stale and refreshed on Sync/Close.
+// path, and the written range joins the span the next Sync pushes. The span
+// widens only after the local write has landed: widened first, a Sync racing
+// this write could push the old bytes and consume the range.
 func (b *Local) WriteAt(p []byte, off int64) (int, error) {
 	n, err := b.local.WriteAt(p, off)
 	if n > 0 && b.remote != nil {
 		b.mu.Lock()
-		b.dirty = true
+		b.pending.widen(off, off+int64(n))
 		b.mu.Unlock()
 	}
 	return n, err
@@ -201,53 +254,71 @@ func (b *Local) WriteAt(p []byte, off int64) (int, error) {
 // Size implements Backend.
 func (b *Local) Size() (int64, error) { return b.local.Size() }
 
-// Truncate implements Backend.
+// Truncate implements Backend, recording n as the remote's low-water mark.
 func (b *Local) Truncate(n int64) error {
 	err := b.local.Truncate(n)
 	if err == nil && b.remote != nil {
 		b.mu.Lock()
-		b.dirty = true
+		b.pending.truncate(n)
 		b.mu.Unlock()
 	}
 	return err
 }
 
-// Sync implements Backend: if the local copy changed, it is pushed back to
-// the remote source in full.
+// Sync implements Backend: what changed in the local copy since the last
+// Sync is written back to the remote source. A failed write-back stays
+// owed, so the next Sync or Close retries it.
 func (b *Local) Sync() error {
-	b.mu.Lock()
-	dirty := b.dirty
-	b.dirty = false
-	b.mu.Unlock()
-	if !dirty || b.remote == nil {
+	if b.remote == nil {
 		return nil
 	}
-	size, err := b.local.Size()
-	if err != nil {
-		return fmt.Errorf("sync: local size: %w", err)
+	b.syncMu.Lock()
+	defer b.syncMu.Unlock()
+	b.mu.Lock()
+	p := b.pending
+	b.pending = pending{}
+	b.mu.Unlock()
+	if p.lo == p.hi && !p.truncated {
+		return nil
 	}
-	if err := b.remote.Truncate(size); err != nil {
-		return fmt.Errorf("sync: truncate remote: %w", err)
+	if err := b.push(p); err != nil {
+		b.mu.Lock()
+		b.pending.merge(p)
+		b.mu.Unlock()
+		return fmt.Errorf("sync: %w", err)
 	}
-	buf := make([]byte, 64*1024)
-	var off int64
-	for off < size {
-		n := len(buf)
-		if int64(n) > size-off {
-			n = int(size - off)
+	return nil
+}
+
+// push writes p back to the remote. A recorded truncation first cuts the
+// remote to the low-water mark, so a range truncated away and grown again
+// reads as zeros there as it does locally, and last sets the remote to the
+// local length. In between, the span goes in one remote write, straight from
+// a MemStore's bytes, or in buffered chunks from any other local store.
+func (b *Local) push(p pending) error {
+	if p.truncated {
+		if err := b.remote.Truncate(p.mark); err != nil {
+			return fmt.Errorf("truncate remote: %w", err)
 		}
-		rn, rerr := b.local.ReadAt(buf[:n], off)
-		if rn > 0 {
-			if _, werr := b.remote.WriteAt(buf[:rn], off); werr != nil {
-				return fmt.Errorf("sync: remote write: %w", werr)
-			}
-			off += int64(rn)
+	}
+	if p.lo != p.hi {
+		var err error
+		if m, ok := b.local.(*MemStore); ok {
+			err = m.writeRangeTo(b.remote, p.lo, p.hi)
+		} else {
+			err = b.copyRange(b.remote, b.local, p.lo, p.hi)
 		}
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			return fmt.Errorf("sync: local read: %w", rerr)
+		if err != nil {
+			return err
 		}
-		if rn == 0 {
-			break
+	}
+	if p.truncated {
+		size, err := b.local.Size()
+		if err != nil {
+			return fmt.Errorf("local size: %w", err)
+		}
+		if err := b.remote.Truncate(size); err != nil {
+			return fmt.Errorf("truncate remote: %w", err)
 		}
 	}
 	return nil
@@ -313,12 +384,26 @@ func (m *MemStore) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(m.data)) {
-		grown := make([]byte, end)
-		copy(grown, m.data)
-		m.data = grown
+		m.resize(end)
 	}
 	copy(m.data[off:end], p)
 	return len(p), nil
+}
+
+// writeRangeTo writes the store's bytes [lo, min(hi, size)) to w at lo in
+// one call, straight from the store's slice: the read lock held across the
+// call keeps writers out while w reads it.
+func (m *MemStore) writeRangeTo(w io.WriterAt, lo, hi int64) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	hi = min(hi, int64(len(m.data)))
+	if lo >= hi {
+		return nil
+	}
+	if _, err := w.WriteAt(m.data[lo:hi], lo); err != nil {
+		return fmt.Errorf("write: %w", err)
+	}
+	return nil
 }
 
 // Size implements RandomAccess.
@@ -335,12 +420,25 @@ func (m *MemStore) Truncate(n int64) error {
 	if n < 0 {
 		return errors.New("cache: negative length")
 	}
-	if n <= int64(len(m.data)) {
-		m.data = m.data[:n]
-		return nil
-	}
-	grown := make([]byte, n)
-	copy(grown, m.data)
-	m.data = grown
+	m.resize(n)
 	return nil
+}
+
+// resize sets the store's length to n, keeping the capacity when it
+// shrinks. Growing past the capacity reallocates to at least double it, so
+// a run of appends copies the store a logarithmic number of times; growing
+// within it zeroes the bytes a shrink left stale there.
+func (m *MemStore) resize(n int64) {
+	old := int64(len(m.data))
+	switch {
+	case n <= old:
+		m.data = m.data[:n]
+	case n <= int64(cap(m.data)):
+		m.data = m.data[:n]
+		clear(m.data[old:])
+	default:
+		grown := make([]byte, n, max(n, 2*int64(cap(m.data))))
+		copy(grown, m.data)
+		m.data = grown
+	}
 }
