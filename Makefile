@@ -32,6 +32,8 @@ race:
 	$(GO) test -race -count=1 -run 'MPSC|Lane|Ring|Flush' \
 		./internal/shm ./internal/core
 	$(GO) test -race -count=3 -run 'Local|MemStore' ./internal/cache
+	$(GO) test -race -count=3 -run 'OpenReportsProgramError|SlowOpen|SentinelDeath|StalledSentinel|TornAdoption|LaneBoot' \
+		./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the

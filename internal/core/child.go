@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 
+	"repro/internal/shm"
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
@@ -34,7 +35,8 @@ func RunChildIfRequested() {
 }
 
 // runChild loads the session description from the environment, opens the
-// program, and serves until the application closes the file.
+// program when the session asks for it, and serves until the application
+// closes the file.
 func runChild() error {
 	manifestPath := os.Getenv(envManifest)
 	if manifestPath == "" {
@@ -84,21 +86,59 @@ func runChild() error {
 		}
 		if os.Getenv(envShmLanes) != "" {
 			// Lane sentinel: serve every lane of the inherited segment, each
-			// lane running the standard control loop against its own
-			// handler instance.
+			// lane a session of its own.
 			return runLaneChild(openProgram, ctrl, o)
-		}
-		handler, err := openProgram()
-		if err != nil {
-			return err
 		}
 		// Drain-mode intake: one read syscall per wakeup pulls every command
 		// frame the control pipe has ready.
 		cmds, _ := wire.WrapDrain(ctrl)
-		return serveControl(handler, in, out, cmds, o)
+		return serveSession(cmds, in, out, openProgram, o)
 	default:
 		return fmt.Errorf("strategy %v cannot run as a subprocess", strategy)
 	}
+}
+
+// serveSession serves one procctl session on either carrier: it answers the
+// OpOpen handshake with the outcome of opening the program, then runs
+// serveControl. A fresh frame reader is safe for the handshake: wire.Reader
+// never reads ahead of the current frame. It returns nil when the peer left
+// and when the program failed to open, which the answer reported; any other
+// error is the caller's to report.
+func serveSession(cmds, data io.Reader, resps io.Writer, open func() (Handler, error), o sessionOptions) error {
+	reqs := wire.NewReader(cmds)
+	req, _, err := reqs.ReadRequestHeader()
+	if errors.Is(err, io.EOF) {
+		return nil // the session went away unused
+	}
+	if err == nil {
+		err = reqs.DiscardPayload()
+	}
+	if err != nil {
+		return fmt.Errorf("open handshake: %w", err)
+	}
+	w := wire.NewWriter(resps)
+	if req.Op != wire.OpOpen {
+		err := fmt.Errorf("open handshake: unexpected %s before open", req.Op)
+		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError, Msg: err.Error()})
+		return err
+	}
+	handler, oerr := open()
+	resp := wire.Response{Seq: req.Seq}
+	resp.Status, resp.Msg = wire.FromError(oerr)
+	if werr := w.WriteResponse(&resp); werr != nil {
+		if handler != nil {
+			handler.Close()
+		}
+		return fmt.Errorf("open handshake reply: %w", werr)
+	}
+	if oerr != nil {
+		return nil
+	}
+	err = serveControl(handler, data, resps, cmds, o)
+	if errors.Is(err, io.EOF) || errors.Is(err, shm.ErrClosed) {
+		return nil
+	}
+	return err
 }
 
 // serveStream is the plain-process sentinel loop, the shape of the paper's

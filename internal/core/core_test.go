@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/program"
@@ -21,8 +22,25 @@ import (
 // running tests.
 func TestMain(m *testing.M) {
 	program.RegisterAll()
+	core.Register(slowOpen{})
 	core.RunChildIfRequested()
 	os.Exit(m.Run())
+}
+
+// slowOpen is passthrough behind an Open that takes the manifest's
+// "opendelay" (a Go duration) to finish, standing in for a program whose
+// open copies a large or slow remote object.
+type slowOpen struct{}
+
+func (slowOpen) Name() string { return "test:slowopen" }
+
+func (slowOpen) Open(env *core.Env) (core.Handler, error) {
+	d, err := time.ParseDuration(env.Param("opendelay", "0s"))
+	if err != nil {
+		return nil, err
+	}
+	time.Sleep(d)
+	return program.Passthrough{}.Open(env)
 }
 
 // createAF writes an active-file manifest (plus data part) into a temp dir.

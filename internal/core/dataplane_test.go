@@ -56,14 +56,14 @@ func TestCarrierReportedInStats(t *testing.T) {
 // (Provoking a real lane failure is not portable, so the plumbing is pinned
 // directly; a real handshake failure is TestLaneBootOutsideHubLock's.)
 func TestCarrierFallbackReasonPlumbed(t *testing.T) {
-	tr := &procCtlTransport{fallback: "lane segment spawn failed: injected"}
+	tr := &procCtlTransport{conn: &pipeConn{}, fallback: "lane segment spawn failed: injected"}
 	carrier, reason := tr.carrierInfo()
 	if carrier != "pipe" || reason != "lane segment spawn failed: injected" {
 		t.Fatalf("carrierInfo = %q/%q", carrier, reason)
 	}
 
 	// A session that got its lane reports shm with no reason.
-	trShm := &procCtlTransport{lane: &laneConn{}}
+	trShm := &procCtlTransport{conn: &laneConn{}}
 	if carrier, reason := trShm.carrierInfo(); carrier != "shm" || reason != "" {
 		t.Fatalf("shm carrierInfo = %q/%q, want shm with no fallback", carrier, reason)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,22 +67,43 @@ func TestRemoteUnreachableAtOpen(t *testing.T) {
 		t.Error("thread Open succeeded with unreachable source")
 	}
 
-	// The process strategy spawns first; the failure surfaces on the first
-	// operation (the child exits, the channel drops).
-	h, err := core.Open(path, core.Options{Strategy: core.StrategyProcCtl})
-	if err != nil {
-		t.Skipf("procctl Open failed eagerly, also acceptable: %v", err)
+	// The process-plus-control strategy fails at Open too: its sentinel
+	// answers the open handshake with the program's error.
+	if h, err := core.Open(path, core.Options{Strategy: core.StrategyProcCtl}); err == nil {
+		h.Close()
+		t.Error("procctl Open succeeded with unreachable source")
 	}
-	buf := make([]byte, 4)
-	if _, err := h.ReadAt(buf, 0); err == nil {
-		t.Error("procctl read succeeded with unreachable source")
-	}
-	done := make(chan error, 1)
-	go func() { done <- h.Close() }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung after child failure")
+}
+
+// TestProcCtlOpenReportsProgramError: a program that cannot open fails
+// Open on both procctl carriers with the program's own error, the way
+// StrategyThread reports it, instead of returning a session whose first
+// operation fails.
+func TestProcCtlOpenReportsProgramError(t *testing.T) {
+	for _, carrier := range []string{"pipe", "shm"} {
+		t.Run(carrier, func(t *testing.T) {
+			path := createAF(t, vfs.Manifest{
+				Program: vfs.ProgramSpec{Name: "passthrough"},
+				Cache:   "none",
+				Source:  vfs.SourceSpec{Kind: "tcp", Addr: "127.0.0.1:1", Path: "obj"}, // nothing listens
+				Params:  map[string]string{"transport": carrier},
+			})
+			_, threadErr := core.Open(path, core.Options{Strategy: core.StrategyThread})
+			if threadErr == nil {
+				t.Fatal("thread Open succeeded with unreachable source")
+			}
+			h, err := core.Open(path, core.Options{Strategy: core.StrategyProcCtl})
+			if err == nil {
+				h.Close()
+				t.Fatal("procctl Open succeeded with unreachable source")
+			}
+			t.Logf("thread: %v\nprocctl: %v", threadErr, err)
+			for _, want := range []string{`open program "passthrough"`, "127.0.0.1:1"} {
+				if !strings.Contains(threadErr.Error(), want) || !strings.Contains(err.Error(), want) {
+					t.Errorf("errors do not both name %q:\n thread:  %v\n procctl: %v", want, threadErr, err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,21 +1,18 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
 	"repro/internal/shm"
-	"repro/internal/wire"
 )
 
 // The lane sentinel: one child process serving every session on a lane
 // segment. A single intake goroutine drains the command queue and
 // demultiplexes records by lane into per-lane byte queues; each lane then
-// runs the ordinary serveControl loop against its own handler, so the
-// per-session protocol — barriers, write ordering, deferred errors — is
+// runs serveSession against its own handler, so the per-session protocol —
+// the open handshake, barriers, write ordering, deferred errors — is
 // byte-for-byte the one a pipe sentinel speaks.
 
 // Child-side descriptor numbers of the inherited segment files, after the
@@ -113,7 +110,7 @@ func runLaneChild(openProgram func() (Handler, error), ctrl *os.File, o sessionO
 			}
 		})
 		if err != nil {
-			break // segment closed: parent retired the segment or died
+			break // segment closed (parent retired it or died) or corrupt
 		}
 	}
 	for _, l := range lanes {
@@ -123,61 +120,12 @@ func runLaneChild(openProgram func() (Handler, error), ctrl *os.File, o sessionO
 	return nil
 }
 
-// serveLane runs one session: the OpOpen handshake, then the standard
-// serveControl loop over the lane's demultiplexed streams, and finally the
-// reply-EOS that marks the lane quiesced. The EOS rides the same producer
-// path as the responses, so it is ordered after every reply of the session.
+// serveLane runs one lane's session, then sends the reply-EOS that marks the
+// lane quiesced. The EOS rides the same producer path as the responses, so
+// it is ordered after every reply of the session.
 func serveLane(seg *shm.MPSCSegment, lane uint16, l *laneStreams, open func() (Handler, error), o sessionOptions) {
 	defer seg.Reply().SendEOS(lane)
-	resps := seg.Reply().Producer(lane, shm.RecordFrame)
-	handler, err := answerOpen(l.cmdQ, resps, open)
-	if err != nil || handler == nil {
-		return // released unused, or the open failed and the answer said so
-	}
-	if err := serveControl(handler, l.dataQ, resps, l.cmdQ, o); err != nil &&
-		!errors.Is(err, io.EOF) && !errors.Is(err, shm.ErrClosed) {
+	if err := serveSession(l.cmdQ, l.dataQ, seg.Reply().Producer(lane, shm.RecordFrame), open, o); err != nil {
 		fmt.Fprintf(os.Stderr, "af lane sentinel: lane %d: %v\n", lane, err)
 	}
-}
-
-// answerOpen serves the OpOpen handshake that binds a lane server to its
-// session: it reads the first request from cmds, opens the program, and
-// answers on resps with the outcome. It returns (nil, nil) when cmds ends
-// before any request — the lane was released unused. A fresh frame reader is
-// safe here: wire.Reader never reads ahead of the current frame, so
-// serveControl's own reader picks up at the next frame boundary after the
-// handshake.
-func answerOpen(cmds io.Reader, resps io.Writer, open func() (Handler, error)) (Handler, error) {
-	reqs := wire.NewReader(cmds)
-	req, _, err := reqs.ReadRequestHeader()
-	if errors.Is(err, io.EOF) {
-		return nil, nil
-	}
-	if err == nil {
-		err = reqs.DiscardPayload()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("open handshake: %w", err)
-	}
-	w := wire.NewWriter(resps)
-	if req.Op != wire.OpOpen {
-		err := fmt.Errorf("open handshake: unexpected %s before open", req.Op)
-		w.WriteResponse(&wire.Response{Seq: req.Seq, Status: wire.StatusError, Msg: err.Error()})
-		return nil, err
-	}
-	handler, oerr := open()
-	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
-	if oerr != nil {
-		resp.Status, resp.Msg = wire.FromError(oerr)
-		if resp.Status == wire.StatusOK {
-			resp.Status = wire.StatusError
-		}
-	}
-	if werr := w.WriteResponse(&resp); werr != nil {
-		if handler != nil {
-			handler.Close()
-		}
-		return nil, fmt.Errorf("open handshake reply: %w", werr)
-	}
-	return handler, oerr
 }

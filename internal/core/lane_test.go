@@ -54,7 +54,7 @@ func openLane(t *testing.T, path string, m vfs.Manifest) *procCtlTransport {
 	if err != nil {
 		t.Fatalf("newProcCtlTransport: %v", err)
 	}
-	if tr.lane == nil {
+	if laneOf(tr) == nil {
 		tr.close()
 		t.Fatalf("session fell off the lane plane: %q", tr.fallback)
 	}
@@ -136,7 +136,7 @@ func laneSessionsShareSegment(t *testing.T, sessions int) {
 				return
 			}
 			trs[i] = tr
-			if tr.lane == nil {
+			if laneOf(tr) == nil {
 				errs <- fmt.Errorf("session %d fell off the lane plane: %q", i, tr.fallback)
 				return
 			}
@@ -164,12 +164,12 @@ func laneSessionsShareSegment(t *testing.T, sessions int) {
 	}
 	perSegment := make(map[*laneSegment]int)
 	for _, tr := range trs {
-		perSegment[tr.lane.ls]++
+		perSegment[laneOf(tr).ls]++
 	}
 	for _, tr := range trs {
 		ds := tr.dataPlaneStats()
-		if ds.SegmentFDs != 5 || ds.DoorbellFDs != 4 || ds.SegmentSessions != perSegment[tr.lane.ls] {
-			t.Fatalf("session stats = %+v, want 5 segment fds, 4 doorbells, %d sessions", ds, perSegment[tr.lane.ls])
+		if ds.SegmentFDs != 5 || ds.DoorbellFDs != 4 || ds.SegmentSessions != perSegment[laneOf(tr).ls] {
+			t.Fatalf("session stats = %+v, want 5 segment fds, 4 doorbells, %d sessions", ds, perSegment[laneOf(tr).ls])
 		}
 	}
 	for _, tr := range trs {
@@ -242,7 +242,7 @@ func TestLaneSessionCloseDoesNotPoisonSiblings(t *testing.T) {
 	}
 	// A successor must come up on the same segment.
 	succ := openLane(t, path, m)
-	if succ.lane.ls != trs[1].lane.ls {
+	if laneOf(succ).ls != laneOf(trs[1]).ls {
 		t.Fatal("successor landed on a new segment")
 	}
 	if _, err := succ.size(); err != nil {
@@ -284,8 +284,8 @@ func TestLaneSentinelDeathFansOut(t *testing.T) {
 			t.Fatalf("healthy size %d: %v", i, err)
 		}
 	}
-	seg := trs[0].lane.ls
-	if err := seg.cmd.Process.Kill(); err != nil {
+	seg := laneOf(trs[0]).ls
+	if err := seg.proc.cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill shared sentinel: %v", err)
 	}
 
@@ -308,7 +308,7 @@ func TestLaneSentinelDeathFansOut(t *testing.T) {
 
 	// The hub must retire the dead segment and spawn a fresh one.
 	tr := openLane(t, path, m)
-	if tr.lane.ls == seg {
+	if laneOf(tr).ls == seg {
 		t.Fatal("post-death open landed on the dead segment")
 	}
 	if _, err := tr.size(); err != nil {
@@ -390,9 +390,9 @@ func TestTornAdoptionClosesSharedSegment(t *testing.T) {
 	path, m := newLaneManifest(t, 2, map[string]string{"readahead": "false"})
 	o := mustOptions(t, m)
 	first := openLane(t, path, m)
-	ls := first.lane.ls
+	ls := laneOf(first).ls
 
-	if err := syscall.Kill(ls.cmd.Process.Pid, syscall.SIGSTOP); err != nil {
+	if err := syscall.Kill(ls.proc.cmd.Process.Pid, syscall.SIGSTOP); err != nil {
 		t.Fatalf("SIGSTOP: %v", err)
 	}
 	type result struct {
@@ -411,7 +411,7 @@ func TestTornAdoptionClosesSharedSegment(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := syscall.Kill(ls.cmd.Process.Pid, syscall.SIGKILL); err != nil {
+	if err := syscall.Kill(ls.proc.cmd.Process.Pid, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
 
@@ -424,14 +424,14 @@ func TestTornAdoptionClosesSharedSegment(t *testing.T) {
 	if second.err != nil {
 		t.Fatalf("open after torn handshake: %v", second.err)
 	}
-	if second.tr.lane != nil || !strings.Contains(second.tr.fallback, "lane open handshake") {
+	if laneOf(second.tr) != nil || !strings.Contains(second.tr.fallback, "lane open handshake") {
 		t.Fatalf("recovered session: lane %v fallback %q, want pipes with the handshake reason",
-			second.tr.lane, second.tr.fallback)
+			laneOf(second.tr), second.tr.fallback)
 	}
 	if !ls.seg.Closed() {
 		t.Fatal("torn segment still open")
 	}
-	if _, err := first.lane.frames.Write([]byte{0}); !errors.Is(err, shm.ErrClosed) {
+	if _, err := laneOf(first).frames.Write([]byte{0}); !errors.Is(err, shm.ErrClosed) {
 		t.Fatalf("write on the torn segment: err = %v, want ErrClosed", err)
 	}
 	_ = ls.seg.Cmd().Stats() // must answer from the detach snapshot, not fault

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os/exec"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ipc"
 	"repro/internal/shm"
 	"repro/internal/vfs"
 )
@@ -168,19 +166,16 @@ type laneSegment struct {
 	path string
 	pool int // idle segments of path kept booted (param "pool")
 	seg  *shm.MPSCSegment
-	cf   *ipc.ChannelFiles
-	cmd  *exec.Cmd
-	mon  *childMonitor
+	proc *sentinelProc
 
 	// routes fans reply records out to sessions lock-free on the hot path;
 	// mu guards the lane lifecycle (claim, release, EOS bookkeeping) and the
 	// dead flag ordering against teardown.
 	routes [shm.MaxLanes]atomic.Pointer[laneConn]
 
-	mu      sync.Mutex
-	eos     [shm.MaxLanes]bool // reply-EOS arrived while the lane was still claimed
-	dead    bool
-	closing atomic.Bool // suppresses the death hook during deliberate shutdown
+	mu   sync.Mutex
+	eos  [shm.MaxLanes]bool // reply-EOS arrived while the lane was still claimed
+	dead bool
 }
 
 // spawnLaneSegment creates one shared segment, starts its sentinel child,
@@ -190,17 +185,13 @@ func spawnLaneSegment(path string, m vfs.Manifest, lanes int) (*laneSegment, err
 	if err != nil {
 		return nil, err
 	}
-	cmd, cf, err := spawnSentinel(path, m, StrategyProcCtl, seg)
+	proc, err := spawnSentinel(path, m, StrategyProcCtl, seg)
 	if err != nil {
 		seg.Close()
 		return nil, err
 	}
-	ls := &laneSegment{path: path, seg: seg, cf: cf, cmd: cmd}
-	ls.mon = watchChild(cmd, func(waitErr error) {
-		if !ls.closing.Load() {
-			ls.fail(sentinelDeath(waitErr))
-		}
-	})
+	ls := &laneSegment{path: path, seg: seg, proc: proc}
+	proc.watch(func(waitErr error) { ls.fail(sentinelDeath(waitErr)) })
 	go ls.demux()
 	return ls, nil
 }
@@ -248,7 +239,8 @@ func (ls *laneSegment) release(c *laneConn) {
 }
 
 // demux is the segment's single consumer: it drains the reply queue and
-// routes each record to its lane's session.
+// routes each record to its lane's session. A reply stream the sentinel
+// corrupted fails the segment as its death would.
 func (ls *laneSegment) demux() {
 	reply := ls.seg.Reply()
 	for {
@@ -265,8 +257,11 @@ func (ls *laneSegment) demux() {
 				ls.laneQuiesced(lane)
 			}
 		})
+		if errors.Is(err, shm.ErrCorrupt) {
+			ls.fail(err)
+		}
 		if err != nil {
-			return // segment closed (teardown or death hook)
+			return // segment closed (teardown, death hook or corruption)
 		}
 	}
 }
@@ -307,7 +302,7 @@ func (ls *laneSegment) fail(err error) {
 	}
 	ls.mu.Unlock()
 	ls.seg.Close()
-	ls.cf.Close()
+	ls.proc.closeFiles()
 	for _, c := range conns {
 		c.respQ.close(err)
 		if f := c.onFail.Load(); f != nil {
@@ -320,9 +315,8 @@ func (ls *laneSegment) fail(err error) {
 // failed boot): closing the segment delivers EOF to the child's intake and
 // closing the pipes trips its watchdog, so it exits and is reaped.
 func (ls *laneSegment) shutdown() {
-	ls.closing.Store(true)
 	ls.fail(errors.New("core: shared lane segment drained"))
-	ls.mon.reap()
+	ls.proc.stop()
 }
 
 // laneConn is one session's conduit over a lane segment. Command frames and
@@ -343,13 +337,29 @@ type laneConn struct {
 	onFail atomic.Pointer[func(error)]
 }
 
-var _ ipc.FrameConn = (*laneConn)(nil)
+var _ sessionConn = (*laneConn)(nil)
 
-func (c *laneConn) Ctrl() io.Writer { return c.frames }
-func (c *laneConn) Data() io.Writer { return c.data }
-func (c *laneConn) Resp() io.Reader { return c.respQ }
-
+func (c *laneConn) Ctrl() io.Writer         { return c.frames }
+func (c *laneConn) Data() io.Writer         { return c.data }
+func (c *laneConn) Resp() io.Reader         { return c.respQ }
 func (c *laneConn) setOnFail(f func(error)) { c.onFail.Store(&f) }
+func (c *laneConn) exited() (error, bool)   { return c.ls.proc.exited() }
+func (c *laneConn) carrier() string         { return "shm" }
+
+// stats reports the segment's doorbell and descriptor economy. Counters and
+// descriptors are per segment, not per session — SegmentSessions says how
+// many ways they are split.
+func (c *laneConn) stats() DataPlaneStats {
+	s := DataPlaneStats{SegmentFDs: 5, DoorbellFDs: 4} // segment file + four doorbells
+	for _, q := range []*shm.MPSCQueue{c.ls.seg.Cmd(), c.ls.seg.Reply()} {
+		qs := q.Stats()
+		s.Doorbells += qs.Doorbells
+		s.Suppressed += qs.Suppressed
+	}
+	claimed, draining := c.ls.seg.LaneCounts()
+	s.SegmentSessions = claimed + draining
+	return s
+}
 
 // Close ends the session's tenancy of the lane: an in-band EOS tells the
 // child's lane server to finish (it answers with its own reply-EOS, which
@@ -363,34 +373,4 @@ func (c *laneConn) Close() error {
 		lanePlane.release(c)
 	})
 	return nil
-}
-
-// acquireLaneTransport opens one transport=shm session on a lane. A nil
-// transport with a non-empty reason means the plane could not serve it
-// (unsupported platform, spawn failure, a sentinel that never answered) and
-// the caller falls back to pipes; a non-nil error is the program's own open
-// failure, which a pipe sentinel would report identically.
-func acquireLaneTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, string, error) {
-	conn, reason := lanePlane.acquire(manifestPath, m, o)
-	if conn == nil {
-		return nil, reason, nil
-	}
-	t := newMuxTransport(conn, o)
-	t.lane, t.mon = conn, conn.ls.mon
-	// Death fan-out: the segment's child monitor reaches this session
-	// through the conduit's onFail hook. If the sentinel died before the
-	// hook was set, the response queue is already closed and the handshake
-	// fails on its EOF instead.
-	conn.setOnFail(t.fail)
-	rtErr, openErr := t.handshake()
-	if rtErr == nil && openErr == nil {
-		return t, "", nil
-	}
-	t.closing.Store(true)
-	t.mux.Close()
-	conn.Close()
-	if rtErr != nil {
-		return nil, fmt.Sprintf("lane open handshake: %v", rtErr), nil
-	}
-	return nil, "", openErr
 }

@@ -28,10 +28,7 @@ func waitIdle(t *testing.T, path string, want int) {
 
 // sentinelPid reports the pid of the sentinel serving tr, on either carrier.
 func sentinelPid(tr *procCtlTransport) int {
-	if tr.lane != nil {
-		return tr.lane.ls.cmd.Process.Pid
-	}
-	return tr.cmd.Process.Pid
+	return sentinelOf(tr).cmd.Process.Pid
 }
 
 // TestLanePoolReusesSentinel: pool=1 alone puts the file on the lane plane;
@@ -107,19 +104,19 @@ func TestLanePoolIdleDeath(t *testing.T) {
 	requireShm(t)
 	path, m := newLaneManifest(t, 1, map[string]string{"pool": "1"})
 	tr := openLane(t, path, m)
-	kept := tr.lane.ls
+	kept := laneOf(tr).ls
 	if err := tr.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	waitIdle(t, path, 1)
-	if err := kept.cmd.Process.Kill(); err != nil {
+	if err := kept.proc.cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill kept sentinel: %v", err)
 	}
 	waitIdle(t, path, 0)
 
 	fresh := openLane(t, path, m)
 	defer fresh.close()
-	if fresh.lane.ls == kept {
+	if laneOf(fresh).ls == kept {
 		t.Fatal("open after the idle death landed on the dead segment")
 	}
 	if _, err := fresh.writeAt([]byte("x"), 0); err != nil {
@@ -136,7 +133,7 @@ func TestLanePoolDrainSparesHeldSession(t *testing.T) {
 	requireShm(t)
 	path, m := newLaneManifest(t, 1, map[string]string{"pool": "2"})
 	held, idle := openLane(t, path, m), openLane(t, path, m)
-	idleMon := idle.lane.ls.mon
+	idleMon := sentinelOf(idle)
 	if err := idle.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -149,7 +146,7 @@ func TestLanePoolDrainSparesHeldSession(t *testing.T) {
 	if _, dead := idleMon.exited(); !dead {
 		t.Fatal("drain left the warm sentinel running")
 	}
-	if _, dead := held.mon.exited(); dead {
+	if _, dead := held.conn.exited(); dead {
 		t.Fatal("drain reaped the sentinel of a held session")
 	}
 	if _, err := held.size(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,11 +34,13 @@ const (
 	// childWaitTimeout bounds how long Close waits for a sentinel subprocess
 	// to exit before killing it.
 	childWaitTimeout = 5 * time.Second
-	// handshakeTimeout bounds the OpOpen handshake that binds a lane server
-	// to a session. A sentinel that cannot answer in time is discarded, so
-	// it can delay an open, never hang it.
-	handshakeTimeout = 5 * time.Second
 )
+
+// handshakeTimeout bounds a lane's OpOpen handshake: a silent lane sentinel
+// pins its segment, so the session falls back to pipes. A pipe handshake is
+// bounded like any exchange (optimeout); its sentinel's death poisons the
+// mux. A variable so tests can shorten it.
+var handshakeTimeout = 5 * time.Second
 
 // ErrSentinelDied reports that the sentinel subprocess backing a session
 // exited while the session was still open — the EIO-class verdict for a
@@ -45,16 +48,32 @@ const (
 // counterfeit clean EOF.
 var ErrSentinelDied = errors.New("core: sentinel process died")
 
+// sentinelProc is one sentinel subprocess and the pipes wired to it. It owns
+// the one allowed cmd.Wait call: a monitor goroutine publishes the exit the
+// moment it happens, so carriers learn about a death through the onDeath
+// hook instead of discovering it as a mid-operation hang, and stop reaps
+// through the same channel. A pipe session conn, a lane segment and a plain
+// process transport each own one.
+type sentinelProc struct {
+	cmd       *exec.Cmd
+	cf        *ipc.ChannelFiles
+	closeOnce sync.Once
+	done      chan struct{}
+	err       error // cmd.Wait result; valid once dead is true
+	dead      atomic.Bool
+}
+
 // spawnSentinel starts the sentinel subprocess for manifestPath with the
 // pipe layout of the given strategy. A non-nil seg makes it a lane sentinel:
 // the segment's files follow the pipes and envShmLanes tells the child to
 // serve them. When the manifest names an external executable it is run
 // directly; otherwise the current binary is re-executed in child mode (the
-// offline substitute for a separate sentinel image).
-func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *shm.MPSCSegment) (*exec.Cmd, *ipc.ChannelFiles, error) {
+// offline substitute for a separate sentinel image). The caller starts the
+// monitor with watch once the owner the death hook reaches is built.
+func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *shm.MPSCSegment) (*sentinelProc, error) {
 	cf, err := ipc.NewChannelFiles(strategy == StrategyProcCtl)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var cmd *exec.Cmd
 	if m.Program.Exec != "" {
@@ -63,7 +82,7 @@ func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *
 		self, err := os.Executable()
 		if err != nil {
 			cf.Close()
-			return nil, nil, fmt.Errorf("locate own executable: %w", err)
+			return nil, fmt.Errorf("locate own executable: %w", err)
 		}
 		cmd = exec.Command(self)
 	}
@@ -82,57 +101,53 @@ func spawnSentinel(manifestPath string, m vfs.Manifest, strategy Strategy, seg *
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		cf.Close()
-		return nil, nil, fmt.Errorf("start sentinel process: %w", err)
+		return nil, fmt.Errorf("start sentinel process: %w", err)
 	}
 	cf.CloseChildEnds()
-	return cmd, cf, nil
+	return &sentinelProc{cmd: cmd, cf: cf, done: make(chan struct{})}, nil
 }
 
-// childMonitor owns the one allowed cmd.Wait call for a sentinel subprocess
-// and publishes its outcome: transports learn about sentinel death the
-// moment it happens (the onDeath hook) instead of discovering it as a
-// mid-operation hang, and Close reaps through the same channel.
-type childMonitor struct {
-	cmd  *exec.Cmd
-	done chan struct{}
-	err  error // cmd.Wait result; valid once exited is true
-	dead atomic.Bool
-}
-
-// watchChild begins supervising cmd. onDeath (optional) runs on the
+// watch begins supervising the child. onDeath (optional) runs on the
 // monitor's goroutine as soon as the child exits, with the wait error.
-func watchChild(cmd *exec.Cmd, onDeath func(error)) *childMonitor {
-	mon := &childMonitor{cmd: cmd, done: make(chan struct{})}
+func (p *sentinelProc) watch(onDeath func(error)) {
 	go func() {
-		mon.err = cmd.Wait()
-		mon.dead.Store(true) // publishes err: Store orders after the write
-		close(mon.done)
+		p.err = p.cmd.Wait()
+		p.dead.Store(true) // publishes err: Store orders after the write
+		close(p.done)
 		if onDeath != nil {
-			onDeath(mon.err)
+			onDeath(p.err)
 		}
 	}()
-	return mon
 }
 
 // exited reports, without blocking, whether the child has exited and with
 // what wait error.
-func (mon *childMonitor) exited() (error, bool) {
-	if !mon.dead.Load() {
+func (p *sentinelProc) exited() (error, bool) {
+	if !p.dead.Load() {
 		return nil, false
 	}
-	return mon.err, true
+	return p.err, true
 }
 
-// reap waits for the child to exit, killing it if it outlives the timeout.
-func (mon *childMonitor) reap() error {
+// closeFiles closes the parent's pipe ends, which is how every sentinel
+// learns its work is over: EOF on its intake or on its watchdog. Safe to
+// call from any goroutine, any number of times.
+func (p *sentinelProc) closeFiles() {
+	p.closeOnce.Do(func() { p.cf.Close() })
+}
+
+// stop ends the sentinel deliberately: it closes the pipes and waits for the
+// child to exit, killing it if it outlives childWaitTimeout. It returns the
+// wait error.
+func (p *sentinelProc) stop() error {
+	p.closeFiles()
 	select {
-	case <-mon.done:
-		return mon.err
+	case <-p.done:
 	case <-time.After(childWaitTimeout):
-		mon.cmd.Process.Kill()
-		<-mon.done
-		return mon.err
+		p.cmd.Process.Kill()
+		<-p.done
 	}
+	return p.err
 }
 
 // sentinelDeath wraps a wait outcome as the EIO-class session error.
@@ -148,30 +163,27 @@ func sentinelDeath(waitErr error) error {
 // sentinel's output stream; writes push onto its input stream; everything
 // else is unsupported.
 type processTransport struct {
-	cmd *exec.Cmd
-	cf  *ipc.ChannelFiles
-	mon *childMonitor
+	proc *sentinelProc
 }
 
 var _ transport = (*processTransport)(nil)
 
 func newProcessTransport(manifestPath string, m vfs.Manifest) (*processTransport, error) {
-	cmd, cf, err := spawnSentinel(manifestPath, m, StrategyProcess, nil)
+	proc, err := spawnSentinel(manifestPath, m, StrategyProcess, nil)
 	if err != nil {
 		return nil, err
 	}
-	t := &processTransport{cmd: cmd, cf: cf}
-	t.mon = watchChild(cmd, nil)
-	return t, nil
+	proc.watch(nil)
+	return &processTransport{proc: proc}, nil
 }
 
 func (t *processTransport) readAt(p []byte, _ int64) (int, error) {
-	n, err := t.cf.FromChild.Read(p)
+	n, err := t.proc.cf.FromChild.Read(p)
 	if err != nil && errors.Is(err, io.EOF) {
 		// Pipe EOF is how both a finished stream AND a crashed sentinel
 		// look. Distinguish them: a child that already failed turns the
 		// counterfeit clean EOF into the honest EIO-class error.
-		if waitErr, dead := t.mon.exited(); dead && waitErr != nil {
+		if waitErr, dead := t.proc.exited(); dead && waitErr != nil {
 			return n, sentinelDeath(waitErr)
 		}
 	}
@@ -179,9 +191,9 @@ func (t *processTransport) readAt(p []byte, _ int64) (int, error) {
 }
 
 func (t *processTransport) writeAt(p []byte, _ int64) (int, error) {
-	n, err := t.cf.ToChild.Write(p)
+	n, err := t.proc.cf.ToChild.Write(p)
 	if err != nil {
-		if waitErr, dead := t.mon.exited(); dead {
+		if waitErr, dead := t.proc.exited(); dead {
 			return n, sentinelDeath(waitErr)
 		}
 	}
@@ -200,8 +212,7 @@ func (t *processTransport) control([]byte) ([]byte, error) {
 func (t *processTransport) close() error {
 	// Closing our pipe ends delivers EOF to the sentinel's writer loop and
 	// EPIPE to its reader loop; it then flushes and exits.
-	t.cf.Close()
-	if err := t.mon.reap(); err != nil {
+	if err := t.proc.stop(); err != nil {
 		var exitErr *exec.ExitError
 		if errors.As(err, &exitErr) {
 			return fmt.Errorf("sentinel process: %w", err)
@@ -211,6 +222,59 @@ func (t *processTransport) close() error {
 	return nil
 }
 
+// sessionConn is the carrier under one procctl session, pipeConn or
+// laneConn: the framed conduit the mux runs over, plus the sentinel as the
+// session sees it. Close ends the session's tenancy, returning the wait
+// error when the session owned the sentinel. setOnFail registers the hook
+// fired with the session's error when the sentinel dies; exited reports,
+// without blocking, whether it has exited and with what wait error.
+type sessionConn interface {
+	Ctrl() io.Writer // command frames to the sentinel
+	Resp() io.Reader // response frames from it; Close unblocks a parked reader
+	Data() io.Writer // bulk write payloads to it
+	Close() error
+	setOnFail(func(error))
+	exited() (error, bool)
+	carrier() string       // "pipe" or "shm"
+	stats() DataPlaneStats // the carrier's own counters
+}
+
+// pipeConn is a procctl session's own sentinel and its pipe trio: commands
+// on the control pipe, posted write payloads on the to-child data pipe,
+// responses on the from-child one.
+type pipeConn struct {
+	proc   *sentinelProc
+	onFail atomic.Pointer[func(error)]
+}
+
+var _ sessionConn = (*pipeConn)(nil)
+
+func newPipeConn(manifestPath string, m vfs.Manifest) (*pipeConn, error) {
+	proc, err := spawnSentinel(manifestPath, m, StrategyProcCtl, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := &pipeConn{proc: proc}
+	// waitpid fired while the session was open: the pipes may deliver EOF
+	// only much later (or never, for the write pipe), so the death is
+	// reported now.
+	proc.watch(func(waitErr error) {
+		if f := c.onFail.Load(); f != nil {
+			(*f)(sentinelDeath(waitErr))
+		}
+	})
+	return c, nil
+}
+
+func (c *pipeConn) Ctrl() io.Writer         { return c.proc.cf.CtrlToChild }
+func (c *pipeConn) Resp() io.Reader         { return c.proc.cf.FromChild }
+func (c *pipeConn) Data() io.Writer         { return c.proc.cf.ToChild }
+func (c *pipeConn) Close() error            { return c.proc.stop() }
+func (c *pipeConn) setOnFail(f func(error)) { c.onFail.Store(&f) }
+func (c *pipeConn) exited() (error, bool)   { return c.proc.exited() }
+func (c *pipeConn) carrier() string         { return "pipe" }
+func (c *pipeConn) stats() DataPlaneStats   { return DataPlaneStats{} }
+
 // procCtlTransport is the client side of the process-plus-control strategy
 // (§4.2): requests travel as commands on the control channel; read results
 // return as response frames; write payloads stream down the data channel
@@ -219,33 +283,76 @@ func (t *processTransport) close() error {
 // are driven through an ipc.Mux, so any number of goroutines keep exchanges
 // in flight concurrently, correlated by Seq rather than lockstep ordering.
 // They run over a pipe trio (transport=pipe, the default) or over a lane of
-// a shared-memory segment (transport=shm).
+// a shared-memory segment (transport=shm); either way the session opens
+// with the same OpOpen handshake.
 //
-// Failure handling: a childMonitor poisons the mux the instant the sentinel
-// subprocess exits, so every in-flight and future exchange reports
+// Failure handling: the carrier's death hook poisons the mux the instant the
+// sentinel subprocess exits, so every in-flight and future exchange reports
 // ErrSentinelDied promptly instead of blocking on a channel no one will ever
 // answer. An optional per-operation deadline (manifest param "optimeout")
 // additionally bounds every waiting exchange even while the child is alive
 // but unresponsive.
 type procCtlTransport struct {
-	cmd       *exec.Cmd         // the session's own sentinel; nil on a lane
-	cf        *ipc.ChannelFiles // the session's pipes; nil on a lane
-	lane      *laneConn         // the session's shm lane; nil on pipes
-	fallback  string            // why a transport=shm request runs on pipes ("" otherwise)
-	conn      ipc.FrameConn     // the session conduit the mux runs over
+	conn      sessionConn
+	fallback  string // why a transport=shm request runs on pipes ("" otherwise)
 	mux       *ipc.Mux
 	pf        *prefetcher // client-side read-ahead; nil when opted out
-	mon       *childMonitor
 	closing   atomic.Bool // set by close(); suppresses the death hook
 	opTimeout time.Duration
 }
 
 var _ transport = (*procCtlTransport)(nil)
 
-// newMuxTransport drives a procctl session over conn through a fresh mux.
-func newMuxTransport(conn ipc.FrameConn, o sessionOptions) *procCtlTransport {
-	t := &procCtlTransport{conn: conn, opTimeout: o.opTimeout}
-	t.mux = ipc.NewMuxConn(conn)
+func newProcCtlTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, error) {
+	var fallback string
+	if o.transport == "shm" {
+		conn, reason := lanePlane.acquire(manifestPath, m, o)
+		if conn != nil {
+			t, rtErr, openErr := openSession(conn, o, "", handshakeTimeout)
+			if rtErr == nil {
+				return t, openErr
+			}
+			reason = fmt.Sprintf("lane open handshake: %v", rtErr)
+		}
+		// The lane plane could not serve the session; pipes serve every
+		// session a lane does, and the reason stays visible in the stats.
+		fallback = reason
+	}
+	conn, err := newPipeConn(manifestPath, m)
+	if err != nil {
+		return nil, err
+	}
+	t, rtErr, openErr := openSession(conn, o, fallback, o.opTimeout)
+	if rtErr != nil {
+		return nil, fmt.Errorf("sentinel open handshake: %w", rtErr)
+	}
+	return t, openErr
+}
+
+// openSession is the one procctl open sequence, for every carrier: a fresh
+// mux, the sentinel's death hook, then the OpOpen handshake, bounded by
+// timeout (0 waits for the answer or the sentinel's death). On failure it
+// unwinds the carrier; rtErr reports that no answer came (a death before the
+// hook was set ends the response stream, so it lands here too), openErr is
+// the program's own open error.
+func openSession(conn sessionConn, o sessionOptions, fallback string, timeout time.Duration) (t *procCtlTransport, rtErr, openErr error) {
+	t = &procCtlTransport{
+		conn:      conn,
+		fallback:  fallback,
+		mux:       ipc.NewMux(conn.Ctrl(), conn.Resp(), conn.Data()),
+		opTimeout: o.opTimeout,
+	}
+	conn.setOnFail(t.fail)
+	resp, rtErr := t.exchange(&wire.Request{Op: wire.OpOpen}, nil, timeout)
+	if rtErr == nil {
+		openErr = wire.ToError(wire.OpOpen, resp.Status, resp.Msg)
+	}
+	if rtErr != nil || openErr != nil {
+		t.closing.Store(true)
+		t.mux.Close()
+		conn.Close()
+		return nil, rtErr, openErr
+	}
 	if o.readAhead {
 		// Client-side window: sequential reads are answered by a memcpy out
 		// of the window while an async fill — pipelined on the mux — keeps
@@ -253,32 +360,7 @@ func newMuxTransport(conn ipc.FrameConn, o sessionOptions) *procCtlTransport {
 		// the per-read critical path entirely.
 		t.pf = newPrefetcher(t.muxReadAt, true)
 	}
-	return t
-}
-
-func newProcCtlTransport(manifestPath string, m vfs.Manifest, o sessionOptions) (*procCtlTransport, error) {
-	var fallback string
-	if o.transport == "shm" {
-		t, reason, err := acquireLaneTransport(manifestPath, m, o)
-		if t != nil || err != nil {
-			return t, err
-		}
-		// The lane plane could not serve the session; pipes serve every
-		// session a lane does, and the reason stays visible in the stats.
-		fallback = reason
-	}
-	cmd, cf, err := spawnSentinel(manifestPath, m, StrategyProcCtl, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := newMuxTransport(ipc.PipeConn{CF: cf}, o)
-	t.cmd, t.cf, t.fallback = cmd, cf, fallback
-	// Sentinel death detection: waitpid fired while the session was open.
-	// Fail every blocked and future exchange right now — the pipes may
-	// deliver EOF only much later (or never, for the write pipe), and
-	// nothing should wait to find out.
-	t.mon = watchChild(cmd, func(waitErr error) { t.fail(sentinelDeath(waitErr)) })
-	return t, nil
+	return t, nil, nil
 }
 
 // fail poisons every blocked and future exchange with err once the sentinel
@@ -289,21 +371,6 @@ func (t *procCtlTransport) fail(err error) {
 	}
 }
 
-// handshake binds an already-running lane server to this session: OpOpen
-// makes it open its program, and the answer carries the outcome. rtErr
-// reports that no answer came within handshakeTimeout (or the sentinel died
-// first); openErr is the program's own open error, which a freshly spawned
-// sentinel would report identically.
-func (t *procCtlTransport) handshake() (rtErr, openErr error) {
-	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
-	defer cancel()
-	resp, err := t.mux.RoundTripContext(ctx, &wire.Request{Op: wire.OpOpen}, nil)
-	if err != nil {
-		return err, nil
-	}
-	return nil, wire.ToError(wire.OpOpen, resp.Status, resp.Msg)
-}
-
 // batchStats exposes the mux's command-channel flush amortization to
 // Handle.BatchStats.
 func (t *procCtlTransport) batchStats() wire.BatchStats { return t.mux.BatchStats() }
@@ -312,33 +379,15 @@ func (t *procCtlTransport) batchStats() wire.BatchStats { return t.mux.BatchStat
 // requested shm carrier was demoted to pipes, the one-shot reason recorded
 // at open — surfaced through Handle.Stats so silent fallback is observable.
 func (t *procCtlTransport) carrierInfo() (carrier, fallback string) {
-	if t.lane != nil {
-		return "shm", t.fallback
-	}
-	return "pipe", t.fallback
+	return t.conn.carrier(), t.fallback
 }
 
 // dataPlaneStats exposes the session's syscall-economy counters to
-// Handle.DataPlaneStats: doorbells rung vs suppressed on the shm queues
-// (both directions, both processes — the counters live in the shared
-// segment) and response frames decoded per receive wakeup on the mux.
+// Handle.DataPlaneStats: the carrier's doorbell and descriptor counters and
+// response frames decoded per receive wakeup on the mux.
 func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
-	s := DataPlaneStats{}
+	s := t.conn.stats()
 	s.Carrier, s.CarrierFallback = t.carrierInfo()
-	if t.lane != nil {
-		// Counters and descriptors are per segment, not per session —
-		// SegmentSessions says how many ways they are split.
-		ls := t.lane.ls
-		for _, q := range []*shm.MPSCQueue{ls.seg.Cmd(), ls.seg.Reply()} {
-			qs := q.Stats()
-			s.Doorbells += qs.Doorbells
-			s.Suppressed += qs.Suppressed
-		}
-		claimed, draining := ls.seg.LaneCounts()
-		s.SegmentSessions = claimed + draining
-		s.SegmentFDs = 5 // segment file + four doorbells
-		s.DoorbellFDs = 4
-	}
 	rs := t.mux.RecvStatsSnapshot()
 	s.RecvFrames, s.RecvWakeups = rs.Frames, rs.Wakeups
 	return s
@@ -346,31 +395,34 @@ func (t *procCtlTransport) dataPlaneStats() DataPlaneStats {
 
 // roundTrip performs one control exchange, bounded by the configured
 // per-operation deadline when one is set.
-
 func (t *procCtlTransport) roundTrip(req *wire.Request, dst []byte) (wire.Response, error) {
-	if t.opTimeout <= 0 {
+	return t.exchange(req, dst, t.opTimeout)
+}
+
+// exchange performs one control exchange bounded by timeout (0 for none).
+func (t *procCtlTransport) exchange(req *wire.Request, dst []byte, timeout time.Duration) (wire.Response, error) {
+	if timeout <= 0 {
 		resp, err := t.mux.RoundTrip(req, dst)
 		return resp, t.deathVerdict(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), t.opTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	resp, err := t.mux.RoundTripContext(ctx, req, dst)
 	return resp, t.deathVerdict(err)
 }
 
 // deathVerdict upgrades a transport error to ErrSentinelDied once the
-// monitor confirms the child exited. The upgrade is needed because pipe EOF
+// sentinel is known to have exited. The upgrade is needed because pipe EOF
 // can win the race against waitpid: the receive loop poisons the mux with
-// the EOF first, the first poison sticks, and without this check the session
-// would keep reporting a bare EOF for a crash. Deadline expiry is left
-// alone — it is the caller's deadline verdict, not a death report.
+// the EOF first, the first poison sticks, and without this check the
+// session would keep reporting a bare EOF for a crash. Deadline expiry is
+// left alone — it is the caller's deadline verdict, not a death report.
 func (t *procCtlTransport) deathVerdict(err error) error {
-	if err == nil || t.closing.Load() ||
-		errors.Is(err, ErrSentinelDied) ||
+	if err == nil || errors.Is(err, ErrSentinelDied) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return err
 	}
-	if waitErr, dead := t.mon.exited(); dead {
+	if waitErr, dead := t.conn.exited(); dead {
 		return sentinelDeath(waitErr)
 	}
 	return err
@@ -495,31 +547,16 @@ func (t *procCtlTransport) close() error {
 	t.closing.Store(true)
 	resp, rtErr := t.roundTrip(&wire.Request{Op: wire.OpClose}, nil)
 	t.mux.Close()
-	t.conn.Close()
-	if t.lane != nil {
-		// Lane session: closing the conduit handed the lane back, and
-		// retired the segment and reaped its sentinel if no other session
-		// holds a lane on it and pool does not keep it. The close barrier
-		// above already settled this session's writes.
-		if rtErr != nil {
-			if waitErr, dead := t.mon.exited(); dead {
-				return sentinelDeath(waitErr)
-			}
-			return rtErr
-		}
-		return wire.ToError(wire.OpClose, resp.Status, resp.Msg)
+	// The close barrier above settled this session's writes. A pipe conn
+	// now reaps its sentinel; a lane goes back to its segment, which
+	// retires and reaps its sentinel if no other session holds a lane on it
+	// and pool does not keep it.
+	waitErr := t.conn.Close()
+	if rtErr != nil {
+		return t.deathVerdict(rtErr)
 	}
-	waitErr := t.mon.reap()
-	switch {
-	case rtErr != nil && (errors.Is(rtErr, io.EOF) || errors.Is(rtErr, ErrSentinelDied)):
-		// Child already exited; its wait status is the verdict.
-		return waitErr
-	case rtErr != nil:
-		return rtErr
-	default:
-		if err := wire.ToError(wire.OpClose, resp.Status, resp.Msg); err != nil {
-			return err
-		}
-		return waitErr
+	if err := wire.ToError(wire.OpClose, resp.Status, resp.Msg); err != nil {
+		return err
 	}
+	return waitErr
 }

@@ -36,6 +36,63 @@ func newTestProcCtl(t *testing.T, params map[string]string) *procCtlTransport {
 	return tr
 }
 
+// laneOf returns the lane tr runs on, or nil when it runs on pipes.
+func laneOf(tr *procCtlTransport) *laneConn {
+	c, _ := tr.conn.(*laneConn)
+	return c
+}
+
+// sentinelOf returns the sentinel serving tr, on either carrier.
+func sentinelOf(tr *procCtlTransport) *sentinelProc {
+	if c := laneOf(tr); c != nil {
+		return c.ls.proc
+	}
+	return tr.conn.(*pipeConn).proc
+}
+
+// TestProcCtlSlowOpenIsNotCutShort: a program whose open outlasts
+// handshakeTimeout still opens. Over pipes the handshake waits like any
+// other exchange; over a lane it gives up after handshakeTimeout and the
+// session falls back to pipes, which then wait.
+func TestProcCtlSlowOpenIsNotCutShort(t *testing.T) {
+	saved := handshakeTimeout
+	handshakeTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { handshakeTimeout = saved })
+	for _, carrier := range []string{"pipe", "shm"} {
+		t.Run(carrier, func(t *testing.T) {
+			if carrier == "shm" {
+				requireShm(t)
+				t.Cleanup(DrainSharedSegments)
+			}
+			path := filepath.Join(t.TempDir(), "slow.af")
+			if err := vfs.Create(path, vfs.Manifest{
+				Program: vfs.ProgramSpec{Name: "test:slowopen"},
+				Cache:   "memory",
+				Params:  map[string]string{"transport": carrier, "opendelay": "600ms"},
+			}); err != nil {
+				t.Fatalf("vfs.Create: %v", err)
+			}
+			m, err := vfs.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := newProcCtlTransport(path, m, mustOptions(t, m))
+			if err != nil {
+				t.Fatalf("open with a slow program: %v", err)
+			}
+			if carrier == "shm" && (laneOf(tr) != nil || tr.fallback == "") {
+				t.Errorf("shm session: lane %v fallback %q, want a pipe fallback with its reason", laneOf(tr), tr.fallback)
+			}
+			if _, err := tr.size(); err != nil {
+				t.Errorf("size: %v", err)
+			}
+			if err := tr.close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+	}
+}
+
 // TestProcCtlSentinelDeathReleasesExchanges kills the sentinel subprocess
 // mid-session: every concurrent exchange must return an error promptly —
 // no indefinite block — and the transport must still close cleanly.
@@ -46,7 +103,7 @@ func TestProcCtlSentinelDeathReleasesExchanges(t *testing.T) {
 		t.Fatalf("healthy size: %v", err)
 	}
 
-	if err := tr.cmd.Process.Kill(); err != nil {
+	if err := sentinelOf(tr).cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill sentinel: %v", err)
 	}
 
@@ -111,7 +168,7 @@ func TestProcCtlOpTimeoutOnStalledSentinel(t *testing.T) {
 		t.Fatalf("healthy size: %v", err)
 	}
 
-	if err := tr.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+	if err := sentinelOf(tr).cmd.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatalf("stop sentinel: %v", err)
 	}
 
@@ -125,7 +182,7 @@ func TestProcCtlOpTimeoutOnStalledSentinel(t *testing.T) {
 		t.Fatalf("deadline took %v to fire; wait effectively unbounded", waited)
 	}
 
-	if err := tr.cmd.Process.Signal(syscall.SIGCONT); err != nil {
+	if err := sentinelOf(tr).cmd.Process.Signal(syscall.SIGCONT); err != nil {
 		t.Fatalf("resume sentinel: %v", err)
 	}
 

@@ -131,7 +131,7 @@ func checkOptions(t *testing.T, cases []optionsCase) {
 func TestShmTransportEndToEnd(t *testing.T) {
 	requireShm(t)
 	tr := newTestProcCtl(t, map[string]string{"transport": "shm"})
-	if tr.lane == nil {
+	if laneOf(tr) == nil {
 		t.Fatalf("transport=shm session came up without a lane: %q", tr.fallback)
 	}
 
@@ -251,7 +251,7 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	if _, err := tr.size(); err != nil {
 		t.Fatalf("healthy size: %v", err)
 	}
-	if err := tr.lane.ls.cmd.Process.Kill(); err != nil {
+	if err := sentinelOf(tr).cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill sentinel: %v", err)
 	}
 
@@ -290,7 +290,7 @@ func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	// The death hook must have closed the segment: its queues reject traffic.
 	segDeadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := tr.lane.frames.Write([]byte{0}); errors.Is(err, shm.ErrClosed) {
+		if _, err := laneOf(tr).frames.Write([]byte{0}); errors.Is(err, shm.ErrClosed) {
 			break
 		}
 		if time.Now().After(segDeadline) {
@@ -317,10 +317,10 @@ func TestShmCloseRetiresSegment(t *testing.T) {
 	base := shm.SnapshotFDs()
 
 	tr := newTestProcCtl(t, map[string]string{"transport": "shm"})
-	if tr.lane == nil {
+	if laneOf(tr) == nil {
 		t.Fatalf("transport=shm session came up without a lane: %q", tr.fallback)
 	}
-	mon := tr.lane.ls.mon
+	mon := sentinelOf(tr)
 	if err := tr.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -333,13 +333,13 @@ func TestShmCloseRetiresSegment(t *testing.T) {
 
 	path, m := newLaneManifest(t, 2, nil)
 	a, b := openLane(t, path, m), openLane(t, path, m)
-	if a.lane.ls != b.lane.ls {
+	if laneOf(a).ls != laneOf(b).ls {
 		t.Fatal("shmlanes=2 placed two sessions on different segments")
 	}
 	if err := a.close(); err != nil {
 		t.Fatalf("close first: %v", err)
 	}
-	if _, dead := b.mon.exited(); dead {
+	if _, dead := b.conn.exited(); dead {
 		t.Fatal("closing one of two sessions reaped the shared sentinel")
 	}
 	if _, err := b.size(); err != nil {
@@ -351,7 +351,7 @@ func TestShmCloseRetiresSegment(t *testing.T) {
 	if err := b.close(); err != nil {
 		t.Fatalf("close second: %v", err)
 	}
-	if _, dead := b.mon.exited(); !dead {
+	if _, dead := b.conn.exited(); !dead {
 		t.Fatal("closing the last session left the sentinel running")
 	}
 	if now := shm.SnapshotFDs(); now != base {
@@ -363,17 +363,17 @@ func TestShmCloseRetiresSegment(t *testing.T) {
 // sentinel boots. A sentinel that never answers (it reads its control pipe,
 // which the lane plane never writes, so it stays alive until its segment is
 // retired) holds its open in the OpOpen handshake for handshakeTimeout; an
-// open of another file must complete in the meantime.
+// open of another file must complete in the meantime. The pipe sentinel the
+// stuck open then falls back to exits on the first control byte, so that
+// open fails at Open rather than returning a session that cannot serve.
 func TestLaneBootOutsideHubLock(t *testing.T) {
 	requireShm(t)
 	t.Cleanup(DrainSharedSegments)
 	stuck := filepath.Join(t.TempDir(), "stuck.af")
 	if err := vfs.Create(stuck, vfs.Manifest{
-		Program: vfs.ProgramSpec{Name: "passthrough", Exec: "/bin/sh", Args: []string{"-c", "read x <&5"}},
+		Program: vfs.ProgramSpec{Name: "passthrough", Exec: "/bin/sh", Args: []string{"-c", "head -c 1 <&5"}},
 		Cache:   "memory",
-		// The fallback pipe session is equally silent; the deadline lets
-		// its close give up on the OpClose answer.
-		Params: map[string]string{"transport": "shm", "optimeout": "100ms"},
+		Params:  map[string]string{"transport": "shm"},
 	}); err != nil {
 		t.Fatalf("vfs.Create: %v", err)
 	}
@@ -414,7 +414,7 @@ func TestLaneBootOutsideHubLock(t *testing.T) {
 		t.Fatal("the silent sentinel answered its handshake")
 	default:
 	}
-	if tr.lane == nil {
+	if laneOf(tr) == nil {
 		t.Fatalf("second open fell back to pipes: %q", tr.fallback)
 	}
 	if took > handshakeTimeout/2 {
@@ -425,20 +425,16 @@ func TestLaneBootOutsideHubLock(t *testing.T) {
 	}
 
 	r := <-first
-	if r.err != nil {
-		t.Fatalf("first open: %v", r.err)
+	if r.err == nil || !strings.Contains(r.err.Error(), "sentinel open handshake") {
+		t.Fatalf("first open = %v, want its pipe fallback's handshake failure", r.err)
 	}
-	if r.tr.lane != nil || r.tr.fallback == "" {
-		t.Fatalf("first open: lane %v fallback %q, want a pipe fallback with its reason", r.tr.lane, r.tr.fallback)
-	}
-	r.tr.close()
 }
 
 // TestPipeTransportHasNoSegment: the default carrier must not take a lane.
 func TestPipeTransportHasNoSegment(t *testing.T) {
 	base := shm.SnapshotFDs()
 	tr := newTestProcCtl(t, nil)
-	if tr.lane != nil {
+	if laneOf(tr) != nil {
 		t.Fatal("pipe-carrier session took a lane")
 	}
 	if now := shm.SnapshotFDs(); now != base {

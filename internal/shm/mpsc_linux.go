@@ -166,10 +166,11 @@ var (
 // bell, a parking consumer could swallow the token meant for a space-starved
 // producer and strand both sides.
 type MPSCQueue struct {
-	name string
-	hdr  *mpscHdr
-	data []byte
-	mask uint64
+	name  string
+	hdr   *mpscHdr
+	data  []byte
+	mask  uint64
+	lanes uint32 // the segment's lane count, copied at assembly: Drain rejects records tagged beyond it
 
 	dataBell  *os.File // producers → consumer: "records available"
 	spaceBell *os.File // consumer → producers: "space available"
@@ -353,6 +354,7 @@ func assembleMPSC(f *os.File, mem []byte, hdr *mpscSegHdr, bells []*os.File, own
 			hdr:      (*mpscHdr)(unsafe.Pointer(&mem[cmdOff])),
 			data:     mem[cmdOff+ringHdrBytes : cmdOff+ringHdrBytes+hdr.cmdCap],
 			mask:     hdr.cmdCap - 1,
+			lanes:    hdr.nlanes,
 			dataBell: bells[0], spaceBell: bells[1],
 		},
 		reply: &MPSCQueue{
@@ -360,6 +362,7 @@ func assembleMPSC(f *os.File, mem []byte, hdr *mpscSegHdr, bells []*os.File, own
 			hdr:      (*mpscHdr)(unsafe.Pointer(&mem[repOff])),
 			data:     mem[repOff+ringHdrBytes : repOff+ringHdrBytes+hdr.repCap],
 			mask:     hdr.repCap - 1,
+			lanes:    hdr.nlanes,
 			dataBell: bells[2], spaceBell: bells[3],
 		},
 	}
@@ -712,6 +715,12 @@ func (q *MPSCQueue) loadHeader(pos uint64) uint64 {
 // during the callback — fn must copy what it keeps. Returns io.EOF once the
 // queue is closed and drained (or a producer died mid-claim; teardown
 // forfeits the torn record), ErrClosed after local detach.
+//
+// The cursors and header words live in memory the peer process can write, so
+// Drain trusts none of them: a tail or head out of step with each other, or
+// a header naming an unknown kind, a lane beyond the segment, an oversized
+// payload, or a span that is empty, misaligned or runs past the claimed
+// bytes or the buffer's end, closes the queue and returns ErrCorrupt.
 func (q *MPSCQueue) Drain(fn func(lane uint16, kind RecordKind, payload []byte)) error {
 	q.inflight.Add(1)
 	defer q.inflight.Add(-1)
@@ -724,6 +733,9 @@ func (q *MPSCQueue) Drain(fn func(lane uint16, kind RecordKind, payload []byte))
 	for {
 		t := q.hdr.tail.Load()
 		h := q.hdr.head.Load()
+		if t%recAlign != 0 || h-t > uint64(len(q.data)) {
+			return q.corrupt("cursors head %d, tail %d", h, t)
+		}
 		if h != t {
 			pos := t & q.mask
 			w := q.loadHeader(pos)
@@ -732,7 +744,18 @@ func (q *MPSCQueue) Drain(fn func(lane uint16, kind RecordKind, payload []byte))
 				size := align8(recAlign + n)
 				if kind == recordPad {
 					size = n
-				} else {
+				}
+				switch {
+				case kind > recordPad:
+					return q.corrupt("record kind %d at %d", kind, t)
+				case kind != recordPad && uint32(lane) >= q.lanes:
+					return q.corrupt("record lane %d of %d at %d", lane, q.lanes, t)
+				case kind != recordPad && n > uint64(q.maxRecordPayload()):
+					return q.corrupt("record payload %d at %d", n, t)
+				case size == 0 || size%recAlign != 0 || size > h-t || size > uint64(len(q.data))-pos:
+					return q.corrupt("record span %d at %d", size, t)
+				}
+				if kind != recordPad {
 					fn(lane, kind, q.data[pos+recAlign:pos+recAlign+n])
 				}
 				// Re-arm the span before retiring it. The whole span, not just
@@ -772,11 +795,20 @@ func (q *MPSCQueue) Drain(fn func(lane uint16, kind RecordKind, payload []byte))
 			continue
 		}
 		q.park(&q.hdr.rparked, q.dataBell, func() bool {
-			t := q.hdr.tail.Load()
+			// Aligned down so a tail the peer scribbled on cannot make the
+			// load straddle the buffer's end; the loop above rejects it.
+			t := q.hdr.tail.Load() &^ (recAlign - 1)
 			return q.hdr.head.Load() != t && q.loadHeader(t&q.mask) != 0
 		})
 		spins = 0
 	}
+}
+
+// corrupt closes the queue over a record stream the consumer cannot trust and
+// reports it as ErrCorrupt.
+func (q *MPSCQueue) corrupt(format string, args ...any) error {
+	q.close()
+	return fmt.Errorf("%w: %s queue: "+format, append([]any{ErrCorrupt, q.name}, args...)...)
 }
 
 // wakeConsumer decides the post-publish wake: inside the producer group's

@@ -71,6 +71,11 @@ const MaxLanes = 256
 // closed by either side.
 var ErrClosed = errors.New("shm: ring closed")
 
+// ErrCorrupt reports a record queue whose cursors or record headers, written
+// by the peer process, fail validation. The queue is closed: its stream can
+// no longer be parsed.
+var ErrCorrupt = errors.New("shm: corrupt record queue")
+
 // ErrUnsupported reports that this platform cannot host the shared-memory
 // transport; callers fall back to the pipe transport.
 var ErrUnsupported = errors.New("shm: shared-memory transport unsupported on this platform")
