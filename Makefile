@@ -34,6 +34,8 @@ race:
 	$(GO) test -race -count=3 -run 'Local|MemStore' ./internal/cache
 	$(GO) test -race -count=3 -run 'OpenReportsProgramError|SlowOpen|SentinelDeath|StalledSentinel|TornAdoption|LaneBoot' \
 		./internal/core
+	$(GO) test -race -count=50 -run 'OpenErrorSurvivesDeathReport' ./internal/core
+	$(GO) test -race -count=5 -run 'Rendezvous|ThreadClose|ThreadReadWriteAllocs' ./internal/ipc ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the

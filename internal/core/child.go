@@ -266,7 +266,7 @@ func (s *ctrlServer) serve(req *wire.Request) {
 		}
 	}
 	if !fromWindow {
-		resp, release = s.d.dispatch(req)
+		resp, release = s.d.dispatch(req, nil)
 		if req.Op == wire.OpTruncate {
 			s.prefetch.invalidate()
 		}
@@ -382,7 +382,7 @@ func serveControl(handler Handler, in io.Reader, out io.Writer, ctrl io.Reader, 
 			}
 			wreq := req
 			wreq.Data = payload[:n]
-			resp, release := s.d.dispatch(&wreq)
+			resp, release := s.d.dispatch(&wreq, nil)
 			release()
 			if werr := wire.ToError(wire.OpWrite, resp.Status, resp.Msg); werr != nil && pendingWriteErr == nil {
 				pendingWriteErr = werr
@@ -396,7 +396,7 @@ func serveControl(handler Handler, in io.Reader, out io.Writer, ctrl io.Reader, 
 				return fmt.Errorf("control channel: %w", err)
 			}
 			inflight.Wait() // barrier: settle every outstanding operation
-			resp, release := s.d.dispatch(&req)
+			resp, release := s.d.dispatch(&req, nil)
 			// Deferred write failures surface on the synchronous barrier.
 			if resp.Status == wire.StatusOK && pendingWriteErr != nil {
 				resp.Status, resp.Msg = wire.FromError(pendingWriteErr)

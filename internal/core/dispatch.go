@@ -46,14 +46,22 @@ func (d *dispatcher) enableWriteBehind() {
 }
 
 // enter acquires the handler-call lock appropriate to the handler's
-// concurrency contract and returns the matching release.
-func (d *dispatcher) enter() func() {
+// concurrency contract; leave releases it. A pair of methods rather than a
+// returned release, which would allocate a method value on every call.
+func (d *dispatcher) enter() {
 	if d.serial {
 		d.mu.Lock()
-		return d.mu.Unlock
+	} else {
+		d.mu.RLock()
 	}
-	d.mu.RLock()
-	return d.mu.RUnlock
+}
+
+func (d *dispatcher) leave() {
+	if d.serial {
+		d.mu.Unlock()
+	} else {
+		d.mu.RUnlock()
+	}
 }
 
 // guarded runs one handler call under the dispatch lock, converting a panic
@@ -63,9 +71,9 @@ func (d *dispatcher) enter() func() {
 // The lock is released before the panic is swallowed, so a poisoned call
 // can never wedge every later operation.
 func (d *dispatcher) guarded(f func() error) (err error) {
-	unlock := d.enter()
+	d.enter()
 	defer func() {
-		unlock()
+		d.leave()
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sentinel program panicked: %v", r)
 		}
@@ -73,11 +81,13 @@ func (d *dispatcher) guarded(f func() error) (err error) {
 	return f()
 }
 
-// dispatch runs one operation, concurrency-safe. For OpRead the response's
-// Data is backed by a pooled buffer: the caller must invoke release exactly
-// once, after shipping or copying the data. For every other operation
-// release is a no-op (but still safe to call).
-func (d *dispatcher) dispatch(req *wire.Request) (wire.Response, func()) {
+// dispatch runs one operation, concurrency-safe. For OpRead, dst (when
+// non-nil, at least req.N bytes) is where the handler reads to, and the
+// response's Data aliases it; with a nil dst Data is backed by a pooled
+// buffer, and the caller must invoke release exactly once, after shipping or
+// copying the data. In every other case release is a no-op (but still safe
+// to call).
+func (d *dispatcher) dispatch(req *wire.Request, dst []byte) (wire.Response, func()) {
 	resp := wire.Response{Seq: req.Seq, Status: wire.StatusOK}
 	if d.closed.Load() && req.Op != wire.OpClose {
 		resp.Status = wire.StatusClosed
@@ -91,7 +101,11 @@ func (d *dispatcher) dispatch(req *wire.Request) (wire.Response, func()) {
 			return resp, releaseNone
 		}
 		d.wb.flushOverlap(req.Off, n)
-		buf, release := wire.GetBuf(n)
+		buf, release := dst, releaseNone
+		if buf == nil {
+			buf, release = wire.GetBuf(n)
+		}
+		buf = buf[:n]
 		var rn int
 		err := d.guarded(func() (e error) { rn, e = d.handler.ReadAt(buf, req.Off); return })
 		resp.N = int64(rn)
@@ -201,14 +215,16 @@ func (d *dispatcher) readAt(p []byte, off int64) (int, error) {
 		return 0, wire.ErrClosed
 	}
 	d.wb.flushOverlap(off, len(p))
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return d.handler.ReadAt(p, off)
 }
 
 // handlerWriteAt is the raw backing write: straight to the handler under its
 // lock, bypassing the coalescer. It is the write-behind flush path.
 func (d *dispatcher) handlerWriteAt(p []byte, off int64) (int, error) {
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return d.handler.WriteAt(p, off)
 }
 
@@ -221,7 +237,8 @@ func (d *dispatcher) writeAt(p []byte, off int64) (int, error) {
 	if d.wb != nil {
 		return d.wb.write(p, off)
 	}
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return d.handler.WriteAt(p, off)
 }
 
@@ -230,7 +247,8 @@ func (d *dispatcher) size() (int64, error) {
 		return 0, wire.ErrClosed
 	}
 	d.wb.flush()
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return d.handler.Size()
 }
 
@@ -239,7 +257,8 @@ func (d *dispatcher) truncate(n int64) error {
 		return wire.ErrClosed
 	}
 	d.wb.flush()
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return d.handler.Truncate(n)
 }
 
@@ -248,7 +267,8 @@ func (d *dispatcher) sync() error {
 		return wire.ErrClosed
 	}
 	werr := d.wb.settle()
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	if err := d.handler.Sync(); werr == nil {
 		return err
 	}
@@ -263,7 +283,8 @@ func (d *dispatcher) lock(off, n int64) error {
 	if d.closed.Load() {
 		return wire.ErrClosed
 	}
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return locker.Lock(off, n)
 }
 
@@ -275,7 +296,8 @@ func (d *dispatcher) unlock(off, n int64) error {
 	if d.closed.Load() {
 		return wire.ErrClosed
 	}
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return locker.Unlock(off, n)
 }
 
@@ -288,7 +310,8 @@ func (d *dispatcher) control(req []byte) ([]byte, error) {
 		return nil, wire.ErrClosed
 	}
 	d.wb.flush()
-	defer d.enter()()
+	d.enter()
+	defer d.leave()
 	return ctl.Control(req)
 }
 

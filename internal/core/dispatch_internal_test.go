@@ -12,7 +12,7 @@ import (
 // response payload is copied out of the pooled buffer before release, the way
 // a transport ships or copies it before recycling.
 func dispatchT(d *dispatcher, req *wire.Request) wire.Response {
-	resp, release := d.dispatch(req)
+	resp, release := d.dispatch(req, nil)
 	if len(resp.Data) > 0 {
 		resp.Data = append([]byte(nil), resp.Data...)
 	}
@@ -220,8 +220,8 @@ func TestDispatchReadBuffersIndependent(t *testing.T) {
 	// consumption).
 	h := &fakeHandler{data: []byte("abcdef")}
 	d := newDispatcher(h)
-	first, rel1 := d.dispatch(&wire.Request{Op: wire.OpRead, Off: 0, N: 3})
-	second, rel2 := d.dispatch(&wire.Request{Op: wire.OpRead, Off: 3, N: 3})
+	first, rel1 := d.dispatch(&wire.Request{Op: wire.OpRead, Off: 0, N: 3}, nil)
+	second, rel2 := d.dispatch(&wire.Request{Op: wire.OpRead, Off: 3, N: 3}, nil)
 	if string(first.Data) != "abc" || string(second.Data) != "def" {
 		t.Errorf("reads = %q, %q", first.Data, second.Data)
 	}

@@ -363,9 +363,26 @@ func openSession(conn sessionConn, o sessionOptions, fallback string, timeout ti
 	return t, nil, nil
 }
 
+// deathDrainWait bounds how long a death report waits for the receive loop
+// to drain the carrier; it is the backstop for a carrier that never reaches
+// EOF, such as a pipe a grandchild of the sentinel still holds open.
+const deathDrainWait = 50 * time.Millisecond
+
 // fail poisons every blocked and future exchange with err once the sentinel
-// is gone, unless the session is closing deliberately.
+// is gone, unless the session is closing deliberately. A reply the sentinel
+// wrote just before it exited — a failed open's answer — is still in the
+// carrier, so the receive loop first delivers it and ends at the carrier's
+// EOF (which deathVerdict reports as the death), or deathDrainWait passes.
 func (t *procCtlTransport) fail(err error) {
+	if t.closing.Load() {
+		return
+	}
+	wait := time.NewTimer(deathDrainWait)
+	defer wait.Stop()
+	select {
+	case <-t.mux.RecvDone():
+	case <-wait.C:
+	}
 	if !t.closing.Load() {
 		t.mux.Fail(err)
 	}

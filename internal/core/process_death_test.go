@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"path/filepath"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -205,7 +208,7 @@ func TestProcCtlOpTimeoutOnStalledSentinel(t *testing.T) {
 func TestDispatchContainsHandlerPanic(t *testing.T) {
 	d := newDispatcher(&panicHandler{})
 	read := wire.Request{Seq: 1, Op: wire.OpRead, N: 4}
-	resp, release := d.dispatch(&read)
+	resp, release := d.dispatch(&read, nil)
 	release()
 	if resp.Status == wire.StatusOK {
 		t.Fatal("panicking handler reported success")
@@ -216,7 +219,7 @@ func TestDispatchContainsHandlerPanic(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		size := wire.Request{Seq: 2, Op: wire.OpSize}
-		resp2, rel2 := d.dispatch(&size)
+		resp2, rel2 := d.dispatch(&size, nil)
 		rel2()
 		if resp2.Status != wire.StatusOK {
 			t.Errorf("size after contained panic = %v", resp2.Status)
@@ -238,3 +241,67 @@ func (panicHandler) Size() (int64, error)                     { return 0, nil }
 func (panicHandler) Truncate(int64) error                     { return nil }
 func (panicHandler) Sync() error                              { return nil }
 func (panicHandler) Close() error                             { return nil }
+
+// deathFirstConn holds the mux's receive loop off the response stream until
+// the sentinel's death hook has fired: the interleaving in which the death
+// report reaches the session before the last reply the sentinel wrote.
+type deathFirstConn struct {
+	sessionConn
+	fired chan struct{}
+	once  sync.Once
+}
+
+func (c *deathFirstConn) Resp() io.Reader { return heldReader{c.sessionConn.Resp(), c.fired} }
+
+func (c *deathFirstConn) setOnFail(f func(error)) {
+	c.sessionConn.setOnFail(func(err error) {
+		c.once.Do(func() { close(c.fired) })
+		f(err)
+	})
+}
+
+// heldReader blocks every Read until release is closed.
+type heldReader struct {
+	r       io.Reader
+	release <-chan struct{}
+}
+
+func (h heldReader) Read(p []byte) (int, error) {
+	<-h.release
+	return h.r.Read(p)
+}
+
+// TestProcCtlOpenErrorSurvivesDeathReport: a sentinel whose program cannot
+// open writes the error reply and exits. When waitpid reports the death
+// before the receive loop has read that reply, Open must still fail with the
+// program's error, not with a bare sentinel death.
+func TestProcCtlOpenErrorSurvivesDeathReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "file.af")
+	if err := vfs.Create(path, vfs.Manifest{
+		Program: vfs.ProgramSpec{Name: "passthrough"},
+		Cache:   "none",
+		Source:  vfs.SourceSpec{Kind: "tcp", Addr: "127.0.0.1:1", Path: "obj"}, // nothing listens
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := vfs.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := newPipeConn(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &deathFirstConn{sessionConn: pc, fired: make(chan struct{})}
+	tr, rtErr, openErr := openSession(conn, mustOptions(t, m), "", 0)
+	if tr != nil {
+		tr.close()
+		t.Fatal("open succeeded with an unreachable source")
+	}
+	if rtErr != nil {
+		t.Fatalf("handshake lost the sentinel's reply: %v", rtErr)
+	}
+	if !strings.Contains(openErr.Error(), `open program "passthrough"`) {
+		t.Errorf("open error = %v, want the program's open error", openErr)
+	}
+}

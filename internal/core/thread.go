@@ -12,17 +12,20 @@ import (
 // threadWorkers is the size of the sentinel worker pool serving one
 // DLL-with-thread session. Handler calls serialize inside the dispatcher
 // regardless, so workers buy pipelining — while one operation executes, the
-// rendezvous handoffs, reply delivery, and result copies of the others
-// overlap — not unsynchronized program access.
+// rendezvous handoffs and reply delivery of the others overlap — not
+// unsynchronized program access.
 const threadWorkers = 8
 
-// threadReply carries a dispatch result back across the rendezvous: the
-// response plus the release that returns its pooled read buffer. The caller
-// must invoke release after consuming resp.Data.
-type threadReply struct {
-	resp    wire.Response
-	release func()
+// threadOp is one operation in flight across the rendezvous: the request
+// and, for OpRead, the caller's destination, which the worker has the
+// handler fill in place. Pooled, so a steady-state exchange allocates
+// nothing.
+type threadOp struct {
+	req wire.Request
+	dst []byte
 }
+
+var threadOps = sync.Pool{New: func() any { return new(threadOp) }}
 
 // threadTransport implements the DLL-with-thread strategy (§4.3): the
 // sentinel runs as goroutines inside the application process and each file
@@ -34,7 +37,7 @@ type threadReply struct {
 // independent operations pipeline: any number of application goroutines may
 // rendezvous concurrently, correlated by Seq.
 type threadTransport struct {
-	rv  *ipc.Rendezvous[*wire.Request, threadReply]
+	rv  *ipc.Rendezvous[*threadOp, wire.Response]
 	d   *dispatcher
 	seq wire.SeqCounter
 	wg  sync.WaitGroup // sentinel workers
@@ -48,7 +51,7 @@ var _ transport = (*threadTransport)(nil)
 // closes.
 func newThreadTransport(handler Handler, opts sessionOptions) *threadTransport {
 	t := &threadTransport{
-		rv: ipc.NewRendezvous[*wire.Request, threadReply](),
+		rv: ipc.NewRendezvous[*threadOp, wire.Response](),
 		d:  newDispatcher(handler),
 	}
 	if opts.writeBehind {
@@ -74,13 +77,18 @@ func newThreadTransport(handler Handler, opts sessionOptions) *threadTransport {
 func (t *threadTransport) sentinelMain() {
 	defer t.wg.Done()
 	for {
-		req, reply, err := t.rv.Next()
+		op, reply, err := t.rv.Next()
 		if err != nil {
 			return
 		}
-		resp, release := t.d.dispatch(req)
-		reply(threadReply{resp: resp, release: release})
-		if req.Op == wire.OpClose {
+		// A read lands in op.dst, so no pooled buffer needs releasing. The
+		// rendezvous keeps the caller waiting until reply, which is what
+		// makes writing into its buffer safe; after reply op belongs to
+		// the caller again and is not touched.
+		closing := op.req.Op == wire.OpClose
+		resp, _ := t.d.dispatch(&op.req, op.dst)
+		reply(resp)
+		if closing {
 			t.rv.Close() // wake the remaining workers
 			return
 		}
@@ -95,15 +103,19 @@ func (t *threadTransport) reap() {
 	t.d.closeHandler()
 }
 
-// call performs one synchronous exchange with a sentinel worker. The
-// returned release must be invoked after resp.Data has been consumed.
-func (t *threadTransport) call(req *wire.Request) (wire.Response, func(), error) {
-	req.Seq = t.seq.Next()
-	r, err := t.rv.Call(req)
+// call performs one synchronous exchange with a sentinel worker. For OpRead,
+// dst (req.N bytes) receives the data and resp.Data aliases it.
+func (t *threadTransport) call(req wire.Request, dst []byte) (wire.Response, error) {
+	op := threadOps.Get().(*threadOp)
+	op.req, op.dst = req, dst
+	op.req.Seq = t.seq.Next()
+	resp, err := t.rv.Call(op)
+	*op = threadOp{}
+	threadOps.Put(op)
 	if err != nil {
-		return wire.Response{}, nil, wire.ErrClosed
+		return wire.Response{}, wire.ErrClosed
 	}
-	return r.resp, r.release, nil
+	return resp, nil
 }
 
 func (t *threadTransport) readAt(p []byte, off int64) (int, error) {
@@ -126,12 +138,11 @@ func (t *threadTransport) callReadAt(p []byte, off int64) (int, error) {
 		if chunk > wire.MaxPayload {
 			chunk = wire.MaxPayload
 		}
-		resp, release, err := t.call(&wire.Request{Op: wire.OpRead, Off: off + int64(total), N: int64(chunk)})
+		resp, err := t.call(wire.Request{Op: wire.OpRead, Off: off + int64(total), N: int64(chunk)}, p[total:total+chunk])
 		if err != nil {
 			return total, err
 		}
-		n := copy(p[total:], resp.Data)
-		release()
+		n := len(resp.Data)
 		total += n
 		if werr := wire.ToError(wire.OpRead, resp.Status, resp.Msg); werr != nil {
 			return total, werr
@@ -151,11 +162,10 @@ func (t *threadTransport) writeAt(p []byte, off int64) (int, error) {
 		if chunk > wire.MaxPayload {
 			chunk = wire.MaxPayload
 		}
-		resp, release, err := t.call(&wire.Request{Op: wire.OpWrite, Off: off + int64(total), Data: p[total : total+chunk]})
+		resp, err := t.call(wire.Request{Op: wire.OpWrite, Off: off + int64(total), Data: p[total : total+chunk]}, nil)
 		if err != nil {
 			return total, err
 		}
-		release()
 		total += int(resp.N)
 		if werr := wire.ToError(wire.OpWrite, resp.Status, resp.Msg); werr != nil {
 			return total, werr
@@ -168,66 +178,58 @@ func (t *threadTransport) writeAt(p []byte, off int64) (int, error) {
 }
 
 func (t *threadTransport) size() (int64, error) {
-	resp, release, err := t.call(&wire.Request{Op: wire.OpSize})
+	resp, err := t.call(wire.Request{Op: wire.OpSize}, nil)
 	if err != nil {
 		return 0, err
 	}
-	release()
 	return resp.N, wire.ToError(wire.OpSize, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) truncate(n int64) error {
 	defer t.pf.invalidate()
-	resp, release, err := t.call(&wire.Request{Op: wire.OpTruncate, Off: n})
+	resp, err := t.call(wire.Request{Op: wire.OpTruncate, Off: n}, nil)
 	if err != nil {
 		return err
 	}
-	release()
 	return wire.ToError(wire.OpTruncate, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) sync() error {
-	resp, release, err := t.call(&wire.Request{Op: wire.OpSync})
+	resp, err := t.call(wire.Request{Op: wire.OpSync}, nil)
 	if err != nil {
 		return err
 	}
-	release()
 	return wire.ToError(wire.OpSync, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) lock(off, n int64) error {
-	resp, release, err := t.call(&wire.Request{Op: wire.OpLock, Off: off, N: n})
+	resp, err := t.call(wire.Request{Op: wire.OpLock, Off: off, N: n}, nil)
 	if err != nil {
 		return err
 	}
-	release()
 	return wire.ToError(wire.OpLock, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) unlock(off, n int64) error {
-	resp, release, err := t.call(&wire.Request{Op: wire.OpUnlock, Off: off, N: n})
+	resp, err := t.call(wire.Request{Op: wire.OpUnlock, Off: off, N: n}, nil)
 	if err != nil {
 		return err
 	}
-	release()
 	return wire.ToError(wire.OpUnlock, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) control(req []byte) ([]byte, error) {
 	defer t.pf.invalidate() // the program may mutate content out of band
-	resp, release, err := t.call(&wire.Request{Op: wire.OpControl, Data: req})
+	resp, err := t.call(wire.Request{Op: wire.OpControl, Data: req}, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(resp.Data))
-	copy(out, resp.Data)
-	release()
-	return out, wire.ToError(wire.OpControl, resp.Status, resp.Msg)
+	return resp.Data, wire.ToError(wire.OpControl, resp.Status, resp.Msg)
 }
 
 func (t *threadTransport) close() error {
 	t.pf.quiesce()
-	resp, release, callErr := t.call(&wire.Request{Op: wire.OpClose})
+	resp, callErr := t.call(wire.Request{Op: wire.OpClose}, nil)
 	t.rv.Close()
 	t.wg.Wait() // join every sentinel worker before returning
 	if callErr != nil {
@@ -236,6 +238,5 @@ func (t *threadTransport) close() error {
 		}
 		return callErr
 	}
-	release()
 	return wire.ToError(wire.OpClose, resp.Status, resp.Msg)
 }

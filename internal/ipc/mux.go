@@ -72,6 +72,7 @@ type Mux struct {
 
 	seq        wire.SeqCounter
 	recvFrames atomic.Uint64 // response frames routed by the receive loop
+	recvDone   chan struct{} // closed when the receive loop returns
 
 	mu      sync.Mutex
 	pending map[uint32]muxPending
@@ -90,9 +91,10 @@ type Mux struct {
 func NewMux(ctrl io.Writer, resp io.Reader, data io.Writer) *Mux {
 	src, dr := wire.WrapDrain(resp)
 	m := &Mux{
-		bw:      wire.NewBatchWriter(ctrl, data),
-		dr:      dr,
-		pending: make(map[uint32]muxPending),
+		bw:       wire.NewBatchWriter(ctrl, data),
+		dr:       dr,
+		pending:  make(map[uint32]muxPending),
+		recvDone: make(chan struct{}),
 	}
 	// The pending-reply count tells the batch writer how deep the pipeline
 	// is, letting its flush leader court company when callers overlap.
@@ -130,6 +132,10 @@ func (m *Mux) RecvStatsSnapshot() RecvStats {
 	return s
 }
 
+// RecvDone is closed once the receive loop has returned: every response the
+// peer wrote before its channel ended has been routed.
+func (m *Mux) RecvDone() <-chan struct{} { return m.recvDone }
+
 // receive routes response frames to waiters by Seq until the channel fails.
 // Payloads are read off the stream directly into the waiter's destination
 // buffer — the split header/payload decode means the channel-to-caller copy
@@ -137,6 +143,7 @@ func (m *Mux) RecvStatsSnapshot() RecvStats {
 // frame a wakeup delivered is decoded before the loop can block again; the
 // pooled drain buffer is released when the loop exits.
 func (m *Mux) receive(r *wire.Reader) {
+	defer close(m.recvDone)
 	if m.dr != nil {
 		defer m.dr.Release()
 	}
