@@ -10,6 +10,11 @@
 
 GO ?= go
 
+# Race steps over ./internal/core spawn race-built sentinels, which inherit
+# the environment; without this each one sleeps 1 s at exit before its
+# parent sees it go. A detected race is still reported and still fails.
+RACE_ENV = GORACE=atexit_sleep_ms=0
+
 .PHONY: all tier1 race conformance bench-smoke
 
 all: tier1 race bench-smoke
@@ -22,26 +27,27 @@ tier1:
 
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Proxy|Partial|Torn|SentinelDeath|StalledSentinel|Mux|Client' \
+	$(RACE_ENV) $(GO) test -race ./...
+	$(RACE_ENV) $(GO) test -race -count=1 -run 'Chaos|Fault|Proxy|Partial|Torn|SentinelDeath|StalledSentinel|Mux|Client' \
 		./internal/ipc ./internal/core ./internal/remote ./internal/faultinject
 	$(GO) test -race -count=1 -run 'Tenant|Drain|Daemon|Sigterm|Signal' \
 		./internal/daemon ./internal/remote ./cmd/afd
 	$(GO) test -race -count=1 -run 'Fleet|Lease|Refusal|Map' \
 		./internal/fleet ./internal/remote ./internal/cache
-	$(GO) test -race -count=1 -run 'MPSC|Lane|Ring|Flush' \
+	$(RACE_ENV) $(GO) test -race -count=1 -run 'MPSC|Lane|Ring|Flush' \
 		./internal/shm ./internal/core
 	$(GO) test -race -count=3 -run 'Local|MemStore' ./internal/cache
-	$(GO) test -race -count=3 -run 'OpenReportsProgramError|SlowOpen|SentinelDeath|StalledSentinel|TornAdoption|LaneBoot' \
+	$(RACE_ENV) $(GO) test -race -count=3 -run 'OpenReportsProgramError|SlowOpen|SentinelDeath|StalledSentinel|TornAdoption|LaneBoot' \
 		./internal/core
-	$(GO) test -race -count=50 -run 'OpenErrorSurvivesDeathReport' ./internal/core
-	$(GO) test -race -count=5 -run 'Rendezvous|ThreadClose|ThreadReadWriteAllocs' ./internal/ipc ./internal/core
+	$(RACE_ENV) $(GO) test -race -count=50 -run 'OpenErrorSurvivesDeathReport' ./internal/core
+	$(RACE_ENV) $(GO) test -race -count=5 -run 'Rendezvous|ThreadClose|ThreadReadWriteAllocs' ./internal/ipc ./internal/core
+	$(RACE_ENV) $(GO) test -race -count=3 -run 'InheritPipe|SentinelPipesArePollable' ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend) and end-to-end through each strategy via the
 # manifest backend= param (package core), with the race detector on.
 conformance:
-	$(GO) test -race -count=1 -run 'Conformance|TestBackend' \
+	$(RACE_ENV) $(GO) test -race -count=1 -run 'Conformance|TestBackend' \
 		./internal/backend/... ./internal/core ./internal/remote ./internal/fleet
 
 # Smoke-run the benchmarks: the wire allocation benchmarks (which assert the

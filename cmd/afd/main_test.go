@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/remote"
 	"repro/internal/wire"
 )
@@ -189,7 +189,7 @@ func (w *syncWriter) String() string {
 }
 
 // warmSignalLoop forces the runtime's process-wide signal goroutine to start
-// before a LeakCheck snapshot: os/signal.loop spawns on the first Notify ever
+// before a leaktest.Check snapshot: os/signal.loop spawns on the first Notify ever
 // and lives for the rest of the process, so letting a leak-checked test be
 // that first Notify misreads it as a leak.
 func warmSignalLoop() {
@@ -215,7 +215,7 @@ func fieldAfter(out, prefix string) string {
 // work drained, no torn frames, no leaked goroutines.
 func TestSigtermDrainsLoadedDaemon(t *testing.T) {
 	warmSignalLoop()
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	wait, stop := newSignalWaiter(io.Discard, func(code int) {
 		t.Errorf("immediate-exit escape hatch fired (code %d) on a single signal", code)
 	})
@@ -284,7 +284,7 @@ func TestSigtermDrainsLoadedDaemon(t *testing.T) {
 // immediately instead of waiting the drain out.
 func TestSecondSignalEscapeHatch(t *testing.T) {
 	warmSignalLoop()
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	exited := make(chan int, 1)
 	wait, stop := newSignalWaiter(io.Discard, func(code int) { exited <- code })
 	defer stop()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"syscall"
 
 	"repro/internal/shm"
 	"repro/internal/vfs"
@@ -66,10 +67,13 @@ func runChild() error {
 		return h, nil
 	}
 
-	in := os.NewFile(childFDRead, "af-data-in")
-	out := os.NewFile(childFDWrite, "af-data-out")
-	if in == nil || out == nil {
-		return errors.New("sentinel data pipes not inherited")
+	in, err := inheritPipe(childFDRead, "af-data-in")
+	if err != nil {
+		return err
+	}
+	out, err := inheritPipe(childFDWrite, "af-data-out")
+	if err != nil {
+		return err
 	}
 
 	switch strategy {
@@ -80,9 +84,9 @@ func runChild() error {
 		}
 		return serveStream(handler, in, out)
 	case StrategyProcCtl:
-		ctrl := os.NewFile(childFDCtrl, "af-ctrl")
-		if ctrl == nil {
-			return errors.New("sentinel control pipe not inherited")
+		ctrl, err := inheritPipe(childFDCtrl, "af-ctrl")
+		if err != nil {
+			return err
 		}
 		if os.Getenv(envShmLanes) != "" {
 			// Lane sentinel: serve every lane of the inherited segment, each
@@ -96,6 +100,23 @@ func runChild() error {
 	default:
 		return fmt.Errorf("strategy %v cannot run as a subprocess", strategy)
 	}
+}
+
+// inheritPipe wraps a pipe descriptor the sentinel inherited. os/exec hands
+// descriptors over in blocking mode, and a file over a blocking descriptor
+// is read with plain read(2) calls that hold the process's P while they
+// wait, so the worker an intake goroutine just queued a request to runs only
+// once sysmon retakes the P. A nonblocking descriptor is registered with the
+// netpoller instead: a waiting reader parks its goroutine, not the P.
+// Setting the flag in the child alone is safe for pipes: once the parent has
+// closed its copies of the child ends (ipc.ChannelFiles.CloseChildEnds),
+// only the child holds these open file descriptions. It fails with EBADF on
+// a descriptor that was not inherited.
+func inheritPipe(fd int, name string) (*os.File, error) {
+	if err := syscall.SetNonblock(fd, true); err != nil {
+		return nil, fmt.Errorf("sentinel pipe %s (fd %d) not inherited: %w", name, fd, err)
+	}
+	return os.NewFile(uintptr(fd), name), nil
 }
 
 // serveSession serves one procctl session on either carrier: it answers the

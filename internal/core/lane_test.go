@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/shm"
 	"repro/internal/vfs"
 )
@@ -273,7 +273,7 @@ func TestLaneSessionCloseDoesNotPoisonSiblings(t *testing.T) {
 // fresh segment instead of the dead one.
 func TestLaneSentinelDeathFansOut(t *testing.T) {
 	requireShm(t)
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	path, m := newLaneManifest(t, 8, map[string]string{"readahead": "false"})
 
 	const sessions = 3
@@ -333,7 +333,7 @@ func TestLaneSentinelDeathFansOut(t *testing.T) {
 // vanished queues — and no goroutine may leak.
 func TestLaneTornTeardown(t *testing.T) {
 	requireShm(t)
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	path, m := newLaneManifest(t, 8, map[string]string{"readahead": "false"})
 
 	const sessions = 4
@@ -386,7 +386,7 @@ func TestLaneTornTeardown(t *testing.T) {
 // after the unmap — with no goroutine leaked.
 func TestTornAdoptionClosesSharedSegment(t *testing.T) {
 	requireShm(t)
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	path, m := newLaneManifest(t, 2, map[string]string{"readahead": "false"})
 	o := mustOptions(t, m)
 	first := openLane(t, path, m)

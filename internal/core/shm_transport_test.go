@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/shm"
 	"repro/internal/vfs"
 )
@@ -245,7 +245,7 @@ func TestShmCloseQuiescesReadAhead(t *testing.T) {
 // close the segment, and leak no goroutines.
 func TestShmSentinelDeathPoisonsAndUnmaps(t *testing.T) {
 	requireShm(t)
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	tr := newTestProcCtl(t, map[string]string{"transport": "shm", "readahead": "false"})
 
 	if _, err := tr.size(); err != nil {

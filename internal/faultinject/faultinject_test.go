@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject/leaktest"
 )
 
 func TestPartialWriterTearsMidWrite(t *testing.T) {
@@ -56,7 +58,7 @@ func echoListener(t *testing.T) string {
 }
 
 func TestProxyForwardsAndDrops(t *testing.T) {
-	LeakCheck(t)
+	leaktest.Check(t)
 	p := NewProxy(echoListener(t))
 	addr, err := p.Start()
 	if err != nil {
@@ -89,7 +91,7 @@ func TestProxyForwardsAndDrops(t *testing.T) {
 }
 
 func TestProxyTruncatesResponse(t *testing.T) {
-	LeakCheck(t)
+	leaktest.Check(t)
 	p := NewProxy(echoListener(t))
 	addr, err := p.Start()
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/remote"
 	"repro/internal/wire"
 )
@@ -355,7 +355,7 @@ func TestFleetRefusalDoesNotFailover(t *testing.T) {
 // while a pipeline of readers is running flat out. Every read must recover
 // via the surviving replica — zero unrecovered errors.
 func TestFleetShardKillFailoverChaos(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	m, byAddr := startShards(t, 3, 2, []string{"hot/*"})
 	fl := New(m, Options{Dial: fastDial})
 
@@ -452,7 +452,7 @@ func restartShard(t *testing.T, m *Map, addr string, contents map[string][]byte)
 // at failover — with only the monotonic SetEpoch, every later revoke would
 // be a no-op and a committed write would never invalidate the cached blocks.
 func TestFleetFailoverEpochRegimeReset(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	m, byAddr := startShards(t, 2, 2, []string{"*"})
 	owners := m.Owners("obj")
 
@@ -556,7 +556,7 @@ func TestFleetFailoverEpochRegimeReset(t *testing.T) {
 // for "writes happened while we were gone") must be observed by the very
 // next cached read.
 func TestFleetCachedHitPathDetectsLeaseLoss(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	m, byAddr := startShards(t, 1, 1, nil)
 	addr := m.Owners("obj")[0]
 	old := []byte("old bytes, cached and leased")
@@ -616,7 +616,7 @@ func TestFleetCachedHitPathDetectsLeaseLoss(t *testing.T) {
 // reader leased from must not wedge or poison it — the reader re-leases from
 // the surviving replica and keeps answering correctly.
 func TestFleetCachedReaderSurvivesLeaseServerKill(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	m, byAddr := startShards(t, 2, 2, []string{"*"})
 	fl := New(m, Options{Dial: fastDial, CacheBlocks: 8, CacheBlockSize: 64})
 

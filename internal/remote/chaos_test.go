@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 )
 
 // TestClientDeadlineOnHungServer: the server hangs mid-exchange; the
 // configured per-operation deadline must bound the wait, and the handle must
 // be usable again after the automatic reconnect.
 func TestClientDeadlineOnHungServer(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.Put("obj", []byte("remote contents"))
 
@@ -52,7 +53,7 @@ func TestClientDeadlineOnHungServer(t *testing.T) {
 // TestClientReplaysReadAcrossHang: with retries enabled, one client call
 // absorbs the hang entirely — deadline, reconnect, replay — and succeeds.
 func TestClientReplaysReadAcrossHang(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.Put("obj", []byte("remote contents"))
 
@@ -76,7 +77,7 @@ func TestClientReplaysReadAcrossHang(t *testing.T) {
 // TestClientWriteFailsFastOnDrop: non-idempotent operations must NOT replay
 // once the request may have reached the server.
 func TestClientWriteFailsFastOnDrop(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.Put("obj", []byte("0123456789"))
 
@@ -125,7 +126,7 @@ func TestClientWriteFailsFastOnDrop(t *testing.T) {
 // server is back on the same address, a subsequent read succeeds through
 // automatic reconnect.
 func TestClientServerKilledMidPipeline(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv := NewFileServer()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -202,7 +203,7 @@ func TestClientServerKilledMidPipeline(t *testing.T) {
 // a full pipeline in flight must release every waiter and leak nothing; the
 // reads themselves succeed via replay.
 func TestClientDropReleasesPipelinedWaiters(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	content := []byte("abcdefghijklmnopqrstuvwxyz")
 	srv.Put("obj", content)
@@ -263,7 +264,7 @@ func TestClientDropReleasesPipelinedWaiters(t *testing.T) {
 // received a torn response prefix. The mux must fail the session (never
 // deliver partial bytes as a response), and the client must recover.
 func TestClientTornResponseFrame(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.Put("obj", []byte("remote contents"))
 
@@ -297,7 +298,7 @@ func TestClientTornResponseFrame(t *testing.T) {
 // release every call promptly — with ErrSourceClosed or a transport error,
 // never a hang — and later calls report ErrSourceClosed.
 func TestClientCloseRacesInflight(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.Put("obj", []byte("abcdefghijklmnop"))
 	srv.SetLatency(60 * time.Millisecond)

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/wire"
 )
 
@@ -34,7 +34,7 @@ func startTenantServer(t *testing.T, q daemon.Quotas, names ...string) (*FileSer
 // open with wire.ErrQuotaExceeded — typed all the way through the client —
 // while other tenants still get in.
 func TestTenantSessionQuotaTyped(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startTenantServer(t, daemon.Quotas{MaxSessions: 2},
 		"acme/obj", "rival/obj")
 	defer srv.Close()
@@ -96,7 +96,7 @@ func TestTenantSessionQuotaTyped(t *testing.T) {
 // and typed wire.ErrOverloaded rejections — nothing queues unboundedly,
 // nothing deadlocks, and the gauges settle to zero.
 func TestTenantBackpressureNeverDeadlocks(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startTenantServer(t, daemon.Quotas{MaxInFlight: 2}, "acme/obj")
 	defer srv.Close()
 	srv.SetLatency(2 * time.Millisecond) // hold ops so the bound bites
@@ -157,7 +157,7 @@ func TestTenantBackpressureNeverDeadlocks(t *testing.T) {
 // flight, so a MaxInFlight of 1 must never refuse it. The admission charge
 // has to be released before the reply that lets the client continue.
 func TestSerialClientNeverRefusedByOwnCharge(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startTenantServer(t, daemon.Quotas{MaxInFlight: 1}, "acme/obj")
 	defer srv.Close()
 
@@ -179,7 +179,7 @@ func TestSerialClientNeverRefusedByOwnCharge(t *testing.T) {
 // and leaves no goroutine behind. This pins the lifecycle bug where Close
 // cut connections mid-frame and clients saw io.ErrUnexpectedEOF.
 func TestGracefulDrain(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startTenantServer(t, daemon.Quotas{}, "acme/obj")
 	srv.SetLatency(20 * time.Millisecond) // in-flight work spans the drain
 
@@ -231,7 +231,7 @@ func TestGracefulDrain(t *testing.T) {
 // typed rejections only, gauges at zero afterwards, zero leaked
 // goroutines. The race tier runs this under -race.
 func TestManyTenantStress(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	const (
 		tenants     = 8
 		sessions    = 4 // per tenant, equal to the quota

@@ -68,8 +68,6 @@ type FileServer struct {
 
 	applyForwards atomic.Uint64 // replica applies forwarded as primary
 
-	bw throttle
-
 	latency   time.Duration
 	failNext  error
 	stallNext time.Duration
@@ -136,49 +134,6 @@ func (s *FileServer) LeaseStats() LeaseStats { return s.leases.stats() }
 // ApplyForwards reports how many replica applies this server has forwarded
 // as a primary.
 func (s *FileServer) ApplyForwards() uint64 { return s.applyForwards.Load() }
-
-// SetBandwidth caps the server's aggregate data bandwidth (reads, writes,
-// and replica applies) at bytesPerSec, zero meaning unlimited. The cap
-// models a shard's service capacity — disk or NIC — so fleet scaling is
-// measurable even when every shard shares one host. Safe to call anytime.
-func (s *FileServer) SetBandwidth(bytesPerSec int64) { s.bw.setRate(bytesPerSec) }
-
-// throttle is a token-bucket pacer: each payload reserves its transmission
-// slot in a virtual timeline advancing at the configured rate, and the
-// carrying goroutine sleeps until its slot arrives. Concurrency is
-// preserved — many operations pace in parallel — while the aggregate rate
-// converges on the cap.
-type throttle struct {
-	mu   sync.Mutex
-	rate float64 // bytes per second; <= 0 means unlimited
-	next time.Time
-}
-
-func (t *throttle) setRate(bytesPerSec int64) {
-	t.mu.Lock()
-	t.rate = float64(bytesPerSec)
-	t.next = time.Time{}
-	t.mu.Unlock()
-}
-
-func (t *throttle) wait(n int) {
-	if n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	if t.rate <= 0 {
-		t.mu.Unlock()
-		return
-	}
-	now := time.Now()
-	if t.next.Before(now) {
-		t.next = now
-	}
-	slot := t.next
-	t.next = t.next.Add(time.Duration(float64(n) / t.rate * float64(time.Second)))
-	t.mu.Unlock()
-	time.Sleep(time.Until(slot))
-}
 
 // SetRegistry installs the multi-tenant session registry. Every
 // connection's OpOpen is then admitted against the named tenant's session
@@ -622,15 +577,6 @@ func (s *FileServer) serveConn(conn net.Conn) {
 			settle()
 			respond(&resp)
 			return
-		}
-		// Pace data-moving operations against the configured bandwidth cap;
-		// each payload reserves its slot in the shared timeline, so the
-		// server's aggregate rate models one shard's service capacity.
-		switch req.Op {
-		case wire.OpRead:
-			s.bw.wait(int(req.N))
-		case wire.OpWrite, wire.OpApply:
-			s.bw.wait(len(req.Data))
 		}
 		switch req.Op {
 		case wire.OpRead:

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 	"repro/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 // fault, and burning the retry/backoff budget on it (or, one level up, failing
 // over to a replica) would turn admission control into a retry storm.
 func TestRedialRefusalSurfacesImmediately(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	srv, addr := startServer(t)
 	srv.SetRegistry(daemon.NewRegistry(daemon.Quotas{}))
 	srv.Put("obj", []byte("remote contents"))

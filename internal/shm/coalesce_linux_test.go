@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 )
 
 // Tests for the syscall-economy surface: doorbell coalescing
@@ -24,7 +24,7 @@ import (
 // bracketed group of N writes wakes a parked consumer with at most ONE
 // doorbell, with the other publishes recorded as suppressed.
 func TestFlushCoalescingOneDoorbellPerBracket(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	s := newTestSegment(t, 1, 0, 0)
 	q := s.Cmd()
 	p := q.Producer(0, RecordFrame)
@@ -76,7 +76,7 @@ func TestFlushCoalescingOneDoorbellPerBracket(t *testing.T) {
 // consumer is parked awaiting a doorbell the bracket is deferring. The
 // queue-full path must surface the pending wake before parking for space.
 func TestFlushBracketFullRingDoesNotDeadlock(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	s := newTestSegment(t, 1, minRingBytes, minRingBytes)
 	q := s.Cmd()
 	p := q.Producer(0, RecordFrame)
@@ -128,7 +128,7 @@ func TestFlushBracketFullRingDoesNotDeadlock(t *testing.T) {
 // doubles as the ordering check on the Dekker-style parked/doorbell
 // handshake; a suppression bug shows up as a hang, caught by the deadline.
 func TestRingWakeupLiveness(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	const (
 		rounds = 4
 		total  = 64 * 1024

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/faultinject/leaktest"
 )
 
 // Tests for one record ring (queue) of a lane segment as a session sees it:
@@ -284,7 +284,7 @@ func TestRingCloseSemantics(t *testing.T) {
 // TestRingCloseUnblocksWaiters: Close must release a consumer parked on an
 // empty queue and a producer parked on a full one, without goroutine leaks.
 func TestRingCloseUnblocksWaiters(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	s := newTestSegment(t, 1, minRingBytes, minRingBytes)
 
 	readerDone := make(chan error, 1)
@@ -321,7 +321,7 @@ func TestRingCloseUnblocksWaiters(t *testing.T) {
 // with no traffic has parked, it must stop spinning entirely (the spin
 // counter freezes) and wake only when a producer rings the doorbell.
 func TestParkedRingBurnsNoCPU(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	s := newTestSegment(t, 1, 0, 0)
 	q := s.Cmd()
 
@@ -373,7 +373,7 @@ func TestParkedRingBurnsNoCPU(t *testing.T) {
 // two lanes per queue, each with its own producer writing randomized chunk
 // sizes, and one consumer per queue checking every lane's stream.
 func TestRingConcurrentStress(t *testing.T) {
-	faultinject.LeakCheck(t)
+	leaktest.Check(t)
 	s := newTestSegment(t, 2, minRingBytes, minRingBytes)
 
 	const total = 128 * 1024
