@@ -44,11 +44,12 @@ race:
 	$(RACE_ENV) $(GO) test -race -count=3 -run 'InheritPipe|SentinelPipesArePollable' ./internal/core
 
 # The backend contract suite: conformance profiles over every backend kind
-# directly (package backend) and end-to-end through each strategy via the
-# manifest backend= param (package core), with the race detector on.
+# directly (package backend), over package cache's stores and caches, and
+# end-to-end through each strategy via the manifest backend= param (package
+# core), with the race detector on.
 conformance:
 	$(RACE_ENV) $(GO) test -race -count=1 -run 'Conformance|TestBackend' \
-		./internal/backend/... ./internal/core ./internal/remote ./internal/fleet
+		./internal/backend/... ./internal/cache ./internal/core ./internal/remote ./internal/fleet
 
 # Smoke-run the benchmarks: the wire allocation benchmarks (which assert the
 # zero-copy framing stays allocation-free), the sharded cache hit benchmark,

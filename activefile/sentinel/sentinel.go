@@ -17,6 +17,7 @@
 package sentinel
 
 import (
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
 )
@@ -70,25 +71,15 @@ func (e *Env) Param(key, def string) string { return e.inner.Param(key, def) }
 // ProgramName returns the program name the file was defined with.
 func (e *Env) ProgramName() string { return e.inner.Manifest.Program.Name }
 
-// Storage is random-access storage with flush semantics; OpenStorage
-// returns one realizing the file's configured caching path.
-type Storage interface {
-	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
-	Size() (int64, error)
-	Truncate(n int64) error
-	Sync() error
-	Close() error
-}
+// Source is a connection to the file's remote information source: a
+// random-access object with ReadAt, WriteAt, Size, Truncate and Close, the
+// contract an active file's data part also meets.
+type Source = cache.Object
 
-// Source is a connection to the file's remote information source.
-type Source interface {
-	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
-	Size() (int64, error)
-	Truncate(n int64) error
-	Close() error
-}
+// Storage is random-access storage with flush semantics: a Source that adds
+// Sync. OpenStorage returns one realizing the file's configured caching
+// path.
+type Storage = cache.Backend
 
 // OpenStorage assembles the storage backend for the file's cache mode and
 // source binding (the Figure 5 critical paths). Most filtering programs
@@ -99,16 +90,7 @@ func (e *Env) OpenStorage() (Storage, error) {
 
 // OpenSource dials the file's remote source directly, bypassing any cache.
 // It returns (nil, nil) when the definition binds no source.
-func (e *Env) OpenSource() (Source, error) {
-	src, err := e.inner.OpenSource()
-	if err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, nil
-	}
-	return src, nil
-}
+func (e *Env) OpenSource() (Source, error) { return e.inner.OpenSource() }
 
 // coreProgram adapts a public Program to the engine's interface.
 type coreProgram struct {

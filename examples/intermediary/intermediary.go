@@ -20,13 +20,13 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/remote"
+	"repro/internal/cache"
 )
 
 // Stage copies the remote object's current contents into the passive file
 // at path — the intermediary's one-shot aggregation step. The legacy
 // application is then run against path.
-func Stage(src remote.Source, path string) error {
+func Stage(src cache.Object, path string) error {
 	size, err := src.Size()
 	if err != nil {
 		return fmt.Errorf("intermediary: source size: %w", err)
@@ -69,7 +69,7 @@ func Stage(src remote.Source, path string) error {
 // application exits. Anything the application expects to happen between
 // Stage and Collect (tracking source changes, influencing the aggregation)
 // cannot.
-func Collect(path string, dst remote.Source) error {
+func Collect(path string, dst cache.Object) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("intermediary: read staging file: %w", err)

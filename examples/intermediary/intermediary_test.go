@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/examples/intermediary"
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/remote"
@@ -20,7 +21,9 @@ func TestMain(m *testing.M) {
 }
 
 func TestStageAndCollect(t *testing.T) {
-	src := remote.NewMemSource([]byte("remote content"))
+	mem := backend.NewMem()
+	mem.Put("obj", []byte("remote content"))
+	src, _ := mem.Open("obj")
 	path := filepath.Join(t.TempDir(), "staged.txt")
 	if err := intermediary.Stage(src, path); err != nil {
 		t.Fatalf("Stage: %v", err)
@@ -36,8 +39,8 @@ func TestStageAndCollect(t *testing.T) {
 	if err := intermediary.Collect(path, src); err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if string(src.Bytes()) != "edited locally" {
-		t.Errorf("source after Collect = %q", src.Bytes())
+	if got, _ := mem.Get("obj"); string(got) != "edited locally" {
+		t.Errorf("source after Collect = %q", got)
 	}
 }
 
@@ -163,18 +166,22 @@ func TestWritePropagationGap(t *testing.T) {
 }
 
 func TestStageErrors(t *testing.T) {
-	flaky := remote.NewFlakySource(remote.NewMemSource([]byte("x")))
-	flaky.Trip(os.ErrDeadlineExceeded)
-	if err := intermediary.Stage(flaky, filepath.Join(t.TempDir(), "s.txt")); err == nil {
+	mem := backend.NewMem()
+	mem.Put("x", []byte("x"))
+	gone, _ := mem.Open("x")
+	gone.Close() // every operation on a closed source fails
+	if err := intermediary.Stage(gone, filepath.Join(t.TempDir(), "s.txt")); err == nil {
 		t.Error("Stage with failing source succeeded")
 	}
-	if err := intermediary.Stage(remote.NewMemSource(nil), "/nonexistent-dir/x.txt"); err == nil {
+	empty, _ := mem.Open("empty")
+	if err := intermediary.Stage(empty, "/nonexistent-dir/x.txt"); err == nil {
 		t.Error("Stage into unwritable path succeeded")
 	}
 }
 
 func TestCollectErrors(t *testing.T) {
-	if err := intermediary.Collect(filepath.Join(t.TempDir(), "missing.txt"), remote.NewMemSource(nil)); err == nil {
+	empty, _ := backend.NewMem().Open("empty")
+	if err := intermediary.Collect(filepath.Join(t.TempDir(), "missing.txt"), empty); err == nil {
 		t.Error("Collect of missing staging file succeeded")
 	}
 }

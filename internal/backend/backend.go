@@ -22,27 +22,16 @@ package backend
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/cache"
 )
 
-// Object is one open random-access object of a backend — the same contract
-// as a remote source or an active file's data part. All implementations
-// follow os.File semantics at the boundary: reads past the end return
-// io.EOF, zero-length reads return (0, nil) even at EOF, and writes past the
-// end zero-fill the gap.
-type Object interface {
-	io.ReaderAt
-	io.WriterAt
-	// Size returns the object's current length.
-	Size() (int64, error)
-	// Truncate sets the object's length, zero-filling on extension.
-	Truncate(n int64) error
-	// Close releases the object; further operations fail.
-	Close() error
-}
+// Object is one open random-access object of a backend: the one object
+// contract, declared in package cache.
+type Object = cache.Object
 
 // Caps is the capability bitmask a backend advertises.
 type Caps uint32
@@ -121,7 +110,7 @@ var (
 	// ErrNotFound reports an object a read-only backend does not hold.
 	ErrNotFound = errors.New("backend: object not found")
 	// ErrObjectClosed is returned by operations on a closed object.
-	ErrObjectClosed = errors.New("backend: object closed")
+	ErrObjectClosed = cache.ErrObjectClosed
 	// ErrUnknownKind reports a spec naming an unregistered backend kind.
 	ErrUnknownKind = errors.New("backend: unknown kind")
 	// ErrBadSpec reports a malformed backend spec string.
@@ -145,18 +134,6 @@ func Register(kind string, f Factory) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	registry.factories[kind] = f
-}
-
-// Kinds returns the sorted registered kind names.
-func Kinds() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]string, 0, len(registry.factories))
-	for k := range registry.factories {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ParseSpec splits a spec into kind, options, and config without
@@ -209,9 +186,16 @@ func Open(spec string) (Backend, error) {
 	}
 	registry.mu.RLock()
 	f, ok := registry.factories[kind]
+	var kinds []string
+	if !ok {
+		for k := range registry.factories {
+			kinds = append(kinds, k)
+		}
+	}
 	registry.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownKind, kind, strings.Join(Kinds(), ", "))
+		sort.Strings(kinds)
+		return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownKind, kind, strings.Join(kinds, ", "))
 	}
 	b, err := f(opts, config)
 	if err != nil {

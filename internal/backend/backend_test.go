@@ -73,6 +73,62 @@ func TestConformanceErrorFS(t *testing.T) {
 	})
 }
 
+// TestMemAppendsAmortize pins the cost of growing a mem object one byte at a
+// time: the store doubles its capacity when it grows, so 4 096 appends
+// allocate a logarithmic number of times, not once per append.
+func TestMemAppendsAmortize(t *testing.T) {
+	one := []byte{'x'}
+	allocs := testing.AllocsPerRun(5, func() {
+		obj, err := backend.NewMem().Open("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4096; i++ {
+			if _, err := obj.WriteAt(one, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("4096 one-byte appends cost %.0f allocations, want at most 64", allocs)
+	}
+}
+
+// TestMemHandleCloseIsPerHandle pins what closing a mem object means: that
+// handle's operations fail with ErrObjectClosed, while another handle on
+// the same name still reads the bytes.
+func TestMemHandleCloseIsPerHandle(t *testing.T) {
+	b := backend.NewMem()
+	b.Put("obj", []byte("data"))
+	first, err := b.Open("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := b.Open("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.ReadAt(make([]byte, 4), 0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("ReadAt after Close = %v, want ErrObjectClosed", err)
+	}
+	if _, err := first.WriteAt([]byte("x"), 0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("WriteAt after Close = %v, want ErrObjectClosed", err)
+	}
+	if _, err := first.Size(); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("Size after Close = %v, want ErrObjectClosed", err)
+	}
+	if err := first.Truncate(0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("Truncate after Close = %v, want ErrObjectClosed", err)
+	}
+	buf := make([]byte, 4)
+	if n, err := second.ReadAt(buf, 0); err != nil || string(buf[:n]) != "data" {
+		t.Errorf("second handle ReadAt = (%q, %v), want data", buf[:n], err)
+	}
+}
+
 func TestROFSRejectsWritesTyped(t *testing.T) {
 	inner := backend.NewMem()
 	inner.Put("obj", []byte("data"))

@@ -8,10 +8,11 @@
 // side channel the backend offers (writing through the backend, putting on a
 // server, dropping a file in a directory) and registers cleanup on t. RunRO
 // exercises the read-only profile; RunRW adds mutation and then runs RunRO
-// too. The suites are run both directly against each backend (package
-// backend's tests) and end-to-end through every strategy via the manifest
-// backend= parameter (package core's matrix), so the contract is enforced at
-// the seam and across each transport.
+// too. The suites run directly against each backend (package backend's
+// tests) and each of package cache's stores and caches, and end-to-end
+// through every strategy via the manifest backend= parameter (package core's
+// matrix), so the contract is enforced at the seam and across each
+// transport.
 package conformance
 
 import (
@@ -21,18 +22,15 @@ import (
 	"io"
 	"sync"
 	"testing"
+
+	"repro/internal/cache"
 )
 
-// Object is the access contract under test — structurally identical to
-// backend.Object, remote.Source, and core.Handle's positioned subset, so any
-// of them can be driven without adapters.
-type Object interface {
-	io.ReaderAt
-	io.WriterAt
-	Size() (int64, error)
-	Truncate(n int64) error
-	Close() error
-}
+// Object is the access contract under test: cache.Object, the one object
+// contract, which backend objects, remote sources, the cache package's
+// stores and core.Handle's positioned subset all implement, so any of them
+// can be driven without adapters.
+type Object = cache.Object
 
 // Factory provisions a fresh object whose contents are exactly content,
 // registering any cleanup with t. Each call must yield an independent

@@ -1,20 +1,19 @@
 package backend
 
 import (
-	"errors"
-	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/cache"
 )
 
 // Mem is the in-memory backend: named byte objects living in the process,
-// the promotion of the remote tier's ad-hoc MemSource/MemStore into a
-// registry citizen. Opening a missing object creates it (writable-store
-// semantics); every open of the same name shares the same bytes.
+// each a cache.MemStore, the one in-memory object. Opening a missing object
+// creates it (writable-store semantics); every open of the same name is a
+// new handle on the same bytes, and closing a handle ends only that handle.
 type Mem struct {
 	mu      sync.RWMutex
-	objects map[string]*memData
+	objects map[string]*cache.MemStore
 }
 
 var _ Backend = (*Mem)(nil)
@@ -23,7 +22,7 @@ var _ Lister = (*Mem)(nil)
 
 // NewMem returns an empty in-memory backend.
 func NewMem() *Mem {
-	return &Mem{objects: make(map[string]*memData)}
+	return &Mem{objects: make(map[string]*cache.MemStore)}
 }
 
 // Kind implements Backend.
@@ -34,18 +33,19 @@ func (m *Mem) Caps() Caps { return CapWrite | CapStat | CapList }
 
 // Open implements Backend, creating the object when missing.
 func (m *Mem) Open(name string) (Object, error) {
-	return &memObject{data: m.lookup(name, true)}, nil
+	return m.lookup(name).Open(), nil
 }
 
 // Stat implements Stater.
 func (m *Mem) Stat(name string) (Info, error) {
 	m.mu.RLock()
-	d, ok := m.objects[name]
+	s, ok := m.objects[name]
 	m.mu.RUnlock()
 	if !ok {
 		return Info{}, ErrNotFound
 	}
-	return Info{Name: name, Size: d.size()}, nil
+	size, _ := s.Size()
+	return Info{Name: name, Size: size}, nil
 }
 
 // List implements Lister, in sorted name order.
@@ -53,8 +53,9 @@ func (m *Mem) List() ([]Info, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]Info, 0, len(m.objects))
-	for name, d := range m.objects {
-		out = append(out, Info{Name: name, Size: d.size()})
+	for name, s := range m.objects {
+		size, _ := s.Size()
+		out = append(out, Info{Name: name, Size: size})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -67,149 +68,34 @@ func (m *Mem) Close() error { return nil }
 
 // Put creates or replaces the named object's contents in place, so handles
 // already open on the name observe the new bytes.
-func (m *Mem) Put(name string, data []byte) {
-	d := m.lookup(name, true)
-	d.mu.Lock()
-	d.buf = append(d.buf[:0], data...)
-	d.mu.Unlock()
-}
+func (m *Mem) Put(name string, data []byte) { m.lookup(name).Replace(data) }
 
 // Get returns a copy of the named object's contents.
 func (m *Mem) Get(name string) ([]byte, bool) {
 	m.mu.RLock()
-	d, ok := m.objects[name]
+	s, ok := m.objects[name]
 	m.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]byte(nil), d.buf...), true
+	return s.Bytes(), true
 }
 
-func (m *Mem) lookup(name string, create bool) *memData {
+// lookup returns the named object's store, creating it when missing. The
+// map's stores are never closed: Open hands out handles on them.
+func (m *Mem) lookup(name string) *cache.MemStore {
 	m.mu.RLock()
-	d, ok := m.objects[name]
+	s, ok := m.objects[name]
 	m.mu.RUnlock()
-	if ok || !create {
-		return d
+	if ok {
+		return s
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d, ok = m.objects[name]; ok {
-		return d
+	if s, ok = m.objects[name]; ok {
+		return s
 	}
-	d = &memData{}
-	m.objects[name] = d
-	return d
-}
-
-// memData is the shared byte state of one named object. Reads share an
-// RLock so concurrent readers of a hot object do not serialize.
-type memData struct {
-	mu  sync.RWMutex
-	buf []byte
-}
-
-func (d *memData) size() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return int64(len(d.buf))
-}
-
-// memObject is one open handle on a memData. Closing a handle invalidates
-// only that handle, not the shared bytes.
-type memObject struct {
-	data   *memData
-	closed atomic.Bool
-}
-
-var _ Object = (*memObject)(nil)
-
-func (o *memObject) guard() error {
-	if o.closed.Load() {
-		return ErrObjectClosed
-	}
-	return nil
-}
-
-// ReadAt implements Object with os.File semantics: zero-length reads return
-// (0, nil) even at or past EOF; short reads at the tail return io.EOF.
-func (o *memObject) ReadAt(p []byte, off int64) (int, error) {
-	if err := o.guard(); err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, errors.New("backend: negative offset")
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	d := o.data
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if off >= int64(len(d.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, d.buf[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// WriteAt implements Object, zero-filling any gap past the current end.
-func (o *memObject) WriteAt(p []byte, off int64) (int, error) {
-	if err := o.guard(); err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, errors.New("backend: negative offset")
-	}
-	d := o.data
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(d.buf)) {
-		grown := make([]byte, end)
-		copy(grown, d.buf)
-		d.buf = grown
-	}
-	copy(d.buf[off:end], p)
-	return len(p), nil
-}
-
-// Size implements Object.
-func (o *memObject) Size() (int64, error) {
-	if err := o.guard(); err != nil {
-		return 0, err
-	}
-	return o.data.size(), nil
-}
-
-// Truncate implements Object.
-func (o *memObject) Truncate(n int64) error {
-	if err := o.guard(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return errors.New("backend: negative length")
-	}
-	d := o.data
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n <= int64(len(d.buf)) {
-		d.buf = d.buf[:n]
-		return nil
-	}
-	grown := make([]byte, n)
-	copy(grown, d.buf)
-	d.buf = grown
-	return nil
-}
-
-// Close implements Object; idempotent.
-func (o *memObject) Close() error {
-	o.closed.Store(true)
-	return nil
+	s = cache.NewMemStore()
+	m.objects[name] = s
+	return s
 }

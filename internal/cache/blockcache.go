@@ -35,7 +35,7 @@ const (
 )
 
 // BlockCache layers an LRU cache of fixed-size blocks over a slower
-// RandomAccess (typically a remote source). Reads of hot blocks are served
+// Object (typically a remote source). Reads of hot blocks are served
 // locally; writes go through to the backing store and update the cached
 // copy. Invalidate discards blocks when a remote update notification
 // arrives, keeping the cache consistent with the source.
@@ -51,7 +51,7 @@ const (
 // within a shard; a single-shard cache — the default for small capacities —
 // keeps the exact global LRU of the unsharded design.
 type BlockCache struct {
-	backing   RandomAccess
+	backing   Object
 	blockSize int
 	capacity  int
 
@@ -98,7 +98,7 @@ type cachedBlock struct {
 	stale  bool
 }
 
-var _ RandomAccess = (*BlockCache)(nil)
+var _ Object = (*BlockCache)(nil)
 
 // defaultShardCount picks the shard count for a capacity: split while every
 // shard keeps at least minBlocksPerShard blocks, up to maxShards.
@@ -113,7 +113,7 @@ func defaultShardCount(capacity int) int {
 // NewBlockCache returns a cache of up to capacity blocks of blockSize bytes
 // over backing, sharded according to capacity (small caches get one shard
 // and exact global LRU).
-func NewBlockCache(backing RandomAccess, blockSize, capacity int) (*BlockCache, error) {
+func NewBlockCache(backing Object, blockSize, capacity int) (*BlockCache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity %d must be positive", capacity)
 	}
@@ -124,7 +124,7 @@ func NewBlockCache(backing RandomAccess, blockSize, capacity int) (*BlockCache, 
 // must be a power of two no larger than capacity. Capacity divides across
 // shards (remainder to the first shards), so the total never exceeds the
 // requested capacity.
-func NewBlockCacheSharded(backing RandomAccess, blockSize, capacity, shards int) (*BlockCache, error) {
+func NewBlockCacheSharded(backing Object, blockSize, capacity, shards int) (*BlockCache, error) {
 	if backing == nil {
 		return nil, errNoStore
 	}
@@ -315,7 +315,7 @@ func (s *blockShard) insert(blk *cachedBlock) {
 	s.blocks[blk.index] = s.lru.PushFront(blk)
 }
 
-// ReadAt implements RandomAccess, serving from cached blocks where possible.
+// ReadAt implements Object, serving from cached blocks where possible.
 // A shard lock is held only for lookups and copies, never across a backing
 // fault-in.
 func (c *BlockCache) ReadAt(p []byte, off int64) (int, error) {
@@ -353,7 +353,7 @@ func (c *BlockCache) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// WriteAt implements RandomAccess: write-through to the backing store, then
+// WriteAt implements Object: write-through to the backing store, then
 // drop any cached blocks the write spans so subsequent reads refetch them.
 func (c *BlockCache) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
@@ -399,10 +399,10 @@ func (c *BlockCache) patch(p []byte, off int64) {
 	}
 }
 
-// Size implements RandomAccess, always consulting the backing store.
+// Size implements Object, always consulting the backing store.
 func (c *BlockCache) Size() (int64, error) { return c.backing.Size() }
 
-// Truncate implements RandomAccess, dropping every cached block (length
+// Truncate implements Object, dropping every cached block (length
 // changes can shorten any block).
 func (c *BlockCache) Truncate(n int64) error {
 	if err := c.backing.Truncate(n); err != nil {
@@ -410,6 +410,13 @@ func (c *BlockCache) Truncate(n int64) error {
 	}
 	c.InvalidateAll()
 	return nil
+}
+
+// Close implements Object: it drops every cached block and closes the
+// backing store, which the cache owns from construction on.
+func (c *BlockCache) Close() error {
+	c.InvalidateAll()
+	return c.backing.Close()
 }
 
 // Invalidate discards cached blocks overlapping [off, off+length), used when

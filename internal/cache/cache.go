@@ -18,6 +18,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Mode selects a caching path.
@@ -58,24 +59,39 @@ func (m Mode) String() string {
 	}
 }
 
-// RandomAccess is the storage contract shared by remote sources, the on-disk
-// data part, and in-memory buffers.
-type RandomAccess interface {
+// Object is the one random-access object contract: an active file's data
+// part, a remote source, a backend's objects, the in-memory store, and the
+// caches layered over them all implement it, with os.File semantics at the
+// boundary. Reads past the end return io.EOF, zero-length reads return
+// (0, nil) even at the end, writes past the end zero-fill the gap, and after
+// Close every operation fails.
+type Object interface {
 	io.ReaderAt
 	io.WriterAt
+	// Size returns the object's current length.
 	Size() (int64, error)
+	// Truncate sets the object's length, zero-filling on extension.
 	Truncate(n int64) error
+	// Close releases the object; further operations fail.
+	Close() error
+}
+
+// Syncer is implemented by objects that buffer state: Sync pushes it toward
+// stable storage or the remote source.
+type Syncer interface {
+	Sync() error
 }
 
 // Backend is what a sentinel session performs file operations against; the
-// concrete type determines which Figure 5 path each operation takes.
+// concrete type determines which Figure 5 path each operation takes. Its
+// Close flushes as Sync does.
 type Backend interface {
-	RandomAccess
-	// Sync pushes buffered state toward stable storage or the remote source.
-	Sync() error
-	// Close releases the backend, flushing as Sync does.
-	Close() error
+	Object
+	Syncer
 }
+
+// ErrObjectClosed is returned by operations on a closed MemStore handle.
+var ErrObjectClosed = errors.New("cache: object closed")
 
 // errNoStore reports a backend constructed without its required store.
 var errNoStore = errors.New("cache: backend requires a store")
@@ -83,13 +99,13 @@ var errNoStore = errors.New("cache: backend requires a store")
 // Passthrough is the Mode None backend: it forwards every operation to the
 // remote store with no local state (Figure 5, path 1).
 type Passthrough struct {
-	store RandomAccess
+	store Object
 }
 
 var _ Backend = (*Passthrough)(nil)
 
 // NewPassthrough returns a backend forwarding directly to store.
-func NewPassthrough(store RandomAccess) (*Passthrough, error) {
+func NewPassthrough(store Object) (*Passthrough, error) {
 	if store == nil {
 		return nil, errNoStore
 	}
@@ -111,13 +127,8 @@ func (b *Passthrough) Truncate(n int64) error { return b.store.Truncate(n) }
 // Sync implements Backend; the remote store is always current.
 func (b *Passthrough) Sync() error { return nil }
 
-// Close implements Backend.
-func (b *Passthrough) Close() error {
-	if c, ok := b.store.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close implements Backend, closing the store.
+func (b *Passthrough) Close() error { return b.store.Close() }
 
 // Local is the Mode Disk / Mode Memory backend: operations hit a local store
 // (the data part on disk, or a memory buffer), and writes are written back
@@ -127,8 +138,8 @@ func (b *Passthrough) Close() error {
 // span of local bytes written since the last Sync, and the truncation of the
 // remote if the local copy was truncated (DESIGN.md §8.4).
 type Local struct {
-	local  RandomAccess
-	remote RandomAccess // optional write-back target
+	local  Object
+	remote Object // optional write-back target
 
 	mu      sync.Mutex
 	pending pending // guarded by mu
@@ -178,7 +189,7 @@ func (p *pending) merge(q pending) {
 
 // NewLocal returns a backend serving from local, writing changes back to
 // remote when it is non-nil.
-func NewLocal(local, remote RandomAccess) (*Local, error) {
+func NewLocal(local, remote Object) (*Local, error) {
 	if local == nil {
 		return nil, errNoStore
 	}
@@ -324,38 +335,60 @@ func (b *Local) push(p pending) error {
 	return nil
 }
 
-// Close implements Backend, flushing dirty state first.
+// Close implements Backend, flushing dirty state first, then closing the
+// local store and the remote.
 func (b *Local) Close() error {
 	err := b.Sync()
-	if c, ok := b.local.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := b.local.Close(); err == nil {
+		err = cerr
 	}
-	if c, ok := b.remote.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
+	if b.remote != nil {
+		if cerr := b.remote.Close(); err == nil {
 			err = cerr
 		}
 	}
 	return err
 }
 
-// MemStore is a plain in-memory RandomAccess used as the Mode Memory local
-// store. Reads share an RLock, so a fan-out of parallel readers — the
-// sharded BlockCache's fill path, concurrent sentinel workers — does not
-// serialize on the store.
+// MemStore is the in-memory Object: the Mode Memory local store, the mem
+// backend's objects, and the session images of the encoding programs. Reads
+// share an RLock, so a fan-out of parallel readers — the sharded
+// BlockCache's fill path, concurrent sentinel workers, FileServer workers
+// serving one hot object — does not serialize on the store.
+//
+// A MemStore is one handle on its bytes: Open returns another on the same
+// bytes, and Close ends only the handle it is called on.
 type MemStore struct {
+	*memBytes
+	closed atomic.Bool
+}
+
+// memBytes is the byte state the handles of one store share.
+type memBytes struct {
 	mu   sync.RWMutex
 	data []byte
 }
 
-var _ RandomAccess = (*MemStore)(nil)
+var _ Object = (*MemStore)(nil)
 
 // NewMemStore returns an empty memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
+func NewMemStore() *MemStore { return &MemStore{memBytes: &memBytes{}} }
 
-// ReadAt implements RandomAccess.
+// Open returns a new handle on the store's bytes, open whether or not m is.
+func (m *MemStore) Open() *MemStore { return &MemStore{memBytes: m.memBytes} }
+
+// Close implements Object. It closes this handle only; the bytes are shared
+// with the store's other handles and go with the last reference to them.
+func (m *MemStore) Close() error {
+	m.closed.Store(true)
+	return nil
+}
+
+// ReadAt implements Object.
 func (m *MemStore) ReadAt(p []byte, off int64) (int, error) {
+	if m.closed.Load() {
+		return 0, ErrObjectClosed
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if off < 0 {
@@ -375,8 +408,11 @@ func (m *MemStore) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteAt implements RandomAccess, growing the buffer as needed.
+// WriteAt implements Object, growing the buffer as needed.
 func (m *MemStore) WriteAt(p []byte, off int64) (int, error) {
+	if m.closed.Load() {
+		return 0, ErrObjectClosed
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if off < 0 {
@@ -406,15 +442,21 @@ func (m *MemStore) writeRangeTo(w io.WriterAt, lo, hi int64) error {
 	return nil
 }
 
-// Size implements RandomAccess.
+// Size implements Object.
 func (m *MemStore) Size() (int64, error) {
+	if m.closed.Load() {
+		return 0, ErrObjectClosed
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return int64(len(m.data)), nil
 }
 
-// Truncate implements RandomAccess.
+// Truncate implements Object.
 func (m *MemStore) Truncate(n int64) error {
+	if m.closed.Load() {
+		return ErrObjectClosed
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n < 0 {
@@ -424,11 +466,27 @@ func (m *MemStore) Truncate(n int64) error {
 	return nil
 }
 
+// Replace sets the store's contents to a copy of p in one step, so a
+// concurrent reader on any handle sees either the old bytes or the new.
+func (m *MemStore) Replace(p []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.resize(int64(len(p)))
+	copy(m.data, p)
+}
+
+// Bytes returns a copy of the store's contents, taken in one step.
+func (m *MemStore) Bytes() []byte {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return append([]byte(nil), m.data...)
+}
+
 // resize sets the store's length to n, keeping the capacity when it
 // shrinks. Growing past the capacity reallocates to at least double it, so
 // a run of appends copies the store a logarithmic number of times; growing
 // within it zeroes the bytes a shrink left stale there.
-func (m *MemStore) resize(n int64) {
+func (m *memBytes) resize(n int64) {
 	old := int64(len(m.data))
 	switch {
 	case n <= old:

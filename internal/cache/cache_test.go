@@ -206,7 +206,9 @@ func TestLocalTruncateMarksDirty(t *testing.T) {
 
 func TestLocalCloseFlushes(t *testing.T) {
 	remote := NewMemStore()
-	b, err := NewLocal(NewMemStore(), remote)
+	// Close closes the remote handle Local holds; the test reads through
+	// its own.
+	b, err := NewLocal(NewMemStore(), remote.Open())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,24 +238,24 @@ func TestLocalWithoutRemote(t *testing.T) {
 
 // countingStore counts operations reaching the backing store.
 type countingStore struct {
-	RandomAccess
+	Object
 	reads, writes int
 }
 
 func (c *countingStore) ReadAt(p []byte, off int64) (int, error) {
 	c.reads++
-	return c.RandomAccess.ReadAt(p, off)
+	return c.Object.ReadAt(p, off)
 }
 
 func (c *countingStore) WriteAt(p []byte, off int64) (int, error) {
 	c.writes++
-	return c.RandomAccess.WriteAt(p, off)
+	return c.Object.WriteAt(p, off)
 }
 
 func TestBlockCacheHitAvoidsBacking(t *testing.T) {
 	mem := NewMemStore()
 	mem.WriteAt(bytes.Repeat([]byte("x"), 1024), 0)
-	store := &countingStore{RandomAccess: mem}
+	store := &countingStore{Object: mem}
 	c, err := NewBlockCache(store, 64, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -495,9 +497,9 @@ func TestLocalCloseClosesBothStores(t *testing.T) {
 	}
 }
 
-// remoteCloser decorates a RandomAccess with a Close flag.
+// remoteCloser decorates an Object with a Close flag.
 type remoteCloser struct {
-	RandomAccess
+	Object
 	closed *bool
 }
 
@@ -523,7 +525,7 @@ func TestPassthroughCloseClosesStore(t *testing.T) {
 // gatedStore blocks ReadAt on selected blocks until released, to exercise
 // the singleflight fill path.
 type gatedStore struct {
-	RandomAccess
+	Object
 	mu       sync.Mutex
 	gate     chan struct{} // non-nil: reads of gatedOff block until closed
 	gatedOff int64
@@ -541,17 +543,17 @@ func (g *gatedStore) ReadAt(p []byte, off int64) (int, error) {
 		g.started <- struct{}{}
 		<-gate
 	}
-	return g.RandomAccess.ReadAt(p, off)
+	return g.Object.ReadAt(p, off)
 }
 
 func TestBlockCacheHitsProceedDuringSlowMiss(t *testing.T) {
 	mem := NewMemStore()
 	mem.WriteAt(bytes.Repeat([]byte("x"), 256), 0)
 	store := &gatedStore{
-		RandomAccess: mem,
-		gate:         make(chan struct{}),
-		gatedOff:     64, // block index 1
-		started:      make(chan struct{}, 1),
+		Object:   mem,
+		gate:     make(chan struct{}),
+		gatedOff: 64, // block index 1
+		started:  make(chan struct{}, 1),
 	}
 	c, err := NewBlockCache(store, 64, 8)
 	if err != nil {
@@ -608,10 +610,10 @@ func TestBlockCacheWriteRacingFillStaysConsistent(t *testing.T) {
 	mem := NewMemStore()
 	mem.WriteAt(bytes.Repeat([]byte("a"), 64), 0)
 	store := &gatedStore{
-		RandomAccess: mem,
-		gate:         make(chan struct{}),
-		gatedOff:     0,
-		started:      make(chan struct{}, 1),
+		Object:   mem,
+		gate:     make(chan struct{}),
+		gatedOff: 0,
+		started:  make(chan struct{}, 1),
 	}
 	c, err := NewBlockCache(store, 64, 8)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 func TestBlockCacheEpochInvalidatesHits(t *testing.T) {
 	mem := NewMemStore()
 	mem.WriteAt(bytes.Repeat([]byte("a"), 256), 0)
-	store := &countingStore{RandomAccess: mem}
+	store := &countingStore{Object: mem}
 	c, err := NewBlockCache(store, 64, 8)
 	if err != nil {
 		t.Fatal(err)

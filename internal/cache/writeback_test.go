@@ -16,7 +16,7 @@ import (
 
 // failingStore fails the next fails calls to WriteAt.
 type failingStore struct {
-	RandomAccess
+	Object
 	fails int
 }
 
@@ -27,11 +27,11 @@ func (f *failingStore) WriteAt(p []byte, off int64) (int, error) {
 		f.fails--
 		return 0, errInjected
 	}
-	return f.RandomAccess.WriteAt(p, off)
+	return f.Object.WriteAt(p, off)
 }
 
 // contents returns every byte of s.
-func contents(t testing.TB, s RandomAccess) []byte {
+func contents(t testing.TB, s Object) []byte {
 	t.Helper()
 	size, err := s.Size()
 	if err != nil {
@@ -45,7 +45,7 @@ func contents(t testing.TB, s RandomAccess) []byte {
 }
 
 func TestLocalSyncRetriesAfterFailure(t *testing.T) {
-	remote := &failingStore{RandomAccess: NewMemStore()}
+	remote := &failingStore{Object: NewMemStore()}
 	local := NewMemStore()
 	b, err := NewLocal(local, remote)
 	if err != nil {
@@ -164,9 +164,7 @@ func runSyncOps(t *testing.T, dir, localKind, remoteKind string, initial []byte,
 	}
 	defer oracle.Close()
 	remote := openStore(t, remoteKind, filepath.Join(dir, "remote"))
-	if c, ok := remote.(io.Closer); ok {
-		defer c.Close()
-	}
+	defer remote.Close()
 	for _, s := range []io.WriterAt{oracle, remote} {
 		if _, err := s.WriteAt(initial, 0); err != nil {
 			t.Fatal(err)
@@ -176,11 +174,7 @@ func runSyncOps(t *testing.T, dir, localKind, remoteKind string, initial []byte,
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if c, ok := b.local.(io.Closer); ok {
-			c.Close()
-		}
-	}()
+	defer b.local.Close()
 	if err := b.Populate(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +226,7 @@ func runSyncOps(t *testing.T, dir, localKind, remoteKind string, initial []byte,
 
 // openStore returns a fresh store of kind "mem" (a MemStore) or "file" (an
 // os.File at path).
-func openStore(t *testing.T, kind, path string) RandomAccess {
+func openStore(t *testing.T, kind, path string) Object {
 	if kind == "mem" {
 		return NewMemStore()
 	}

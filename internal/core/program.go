@@ -109,7 +109,7 @@ func (e *Env) Param(key, def string) string {
 // kinds — "remote:<addr>" is "tcp" and "http:<base>" is "http" — and add
 // local (mem, nativefs), policy (rofs), and fault-injection (errorfs)
 // stores, composable by nesting specs.
-func (e *Env) OpenSource() (remote.Source, error) {
+func (e *Env) OpenSource() (backend.Object, error) {
 	if spec := e.Param(vfs.ParamBackend, ""); spec != "" {
 		name := e.Param(vfs.ParamObject, "")
 		if name == "" {
@@ -194,11 +194,7 @@ func (e *Env) OpenBackend() (cache.Backend, error) {
 			closeSource(source)
 			return nil, err
 		}
-		var remoteStore cache.RandomAccess
-		if source != nil {
-			remoteStore = source
-		}
-		backend, err := cache.NewLocal(data, remoteStore)
+		backend, err := cache.NewLocal(data, source)
 		if err != nil {
 			data.Close()
 			closeSource(source)
@@ -213,10 +209,8 @@ func (e *Env) OpenBackend() (cache.Backend, error) {
 		return backend, nil
 
 	case cache.ModeMemory:
-		var persistent cache.RandomAccess
-		if source != nil {
-			persistent = source
-		} else if !e.Manifest.NoData {
+		persistent := source
+		if persistent == nil && !e.Manifest.NoData {
 			data, err := e.OpenData()
 			if err != nil {
 				return nil, err
@@ -241,21 +235,21 @@ func (e *Env) OpenBackend() (cache.Backend, error) {
 	}
 }
 
-func closeSource(s remote.Source) {
+func closeSource(s backend.Object) {
 	if s != nil {
 		s.Close()
 	}
 }
 
-// backendSource adapts a backend object to the Source interface (their
-// method sets coincide) while tying the backend's lifetime to the session:
-// closing the source closes the object, then the backend it came from.
+// backendSource ties a backend's lifetime to the one object a session opened
+// on it: closing the source closes the object, then the backend it came
+// from.
 type backendSource struct {
 	backend.Object
 	owner backend.Backend
 }
 
-var _ remote.Source = (*backendSource)(nil)
+var _ backend.Object = (*backendSource)(nil)
 
 func (s *backendSource) Close() error {
 	err := s.Object.Close()

@@ -200,9 +200,6 @@ func (s *Session) Close() {
 	s.reg.sessions.Add(-1)
 }
 
-// Tenant returns the session's tenant name.
-func (s *Session) Tenant() string { return s.tenant.name }
-
 // DoneFunc settles one admitted operation: err is the operation's outcome
 // (nil on success), moved is how many payload bytes it actually
 // transferred. It must be called exactly once per successful Begin.

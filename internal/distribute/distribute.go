@@ -32,35 +32,6 @@ var (
 	ErrBadMessage   = errors.New("distribute: malformed message")
 )
 
-// FanOut delivers each payload to a fixed set of destinations, collecting
-// per-destination failures rather than stopping at the first.
-type FanOut struct {
-	sink  Sink
-	addrs []string
-}
-
-// NewFanOut returns a distributor delivering to every addr via sink.
-func NewFanOut(sink Sink, addrs []string) (*FanOut, error) {
-	if len(addrs) == 0 {
-		return nil, ErrNoRecipients
-	}
-	copied := make([]string, len(addrs))
-	copy(copied, addrs)
-	return &FanOut{sink: sink, addrs: copied}, nil
-}
-
-// Distribute delivers payload to every destination, returning an error
-// joining any failures.
-func (f *FanOut) Distribute(payload []byte) error {
-	var errs []error
-	for _, addr := range f.addrs {
-		if err := f.sink.Deliver(addr, payload); err != nil {
-			errs = append(errs, fmt.Errorf("deliver to %s: %w", addr, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Message is a parsed outbox message: headers plus body.
 type Message struct {
 	To      []string

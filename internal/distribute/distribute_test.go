@@ -31,46 +31,6 @@ func (s *recordingSink) Deliver(addr string, payload []byte) error {
 	return nil
 }
 
-func TestFanOutDeliversToAll(t *testing.T) {
-	sink := newRecordingSink()
-	f, err := NewFanOut(sink, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Distribute([]byte("payload")); err != nil {
-		t.Fatalf("Distribute: %v", err)
-	}
-	for _, addr := range []string{"a", "b", "c"} {
-		if got := sink.delivered[addr]; len(got) != 1 || got[0] != "payload" {
-			t.Errorf("delivery to %s = %v", addr, got)
-		}
-	}
-}
-
-func TestFanOutCollectsFailures(t *testing.T) {
-	boom := errors.New("unreachable")
-	sink := newRecordingSink()
-	sink.failAddrs["b"] = boom
-	f, err := NewFanOut(sink, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.Distribute([]byte("x"))
-	if !errors.Is(err, boom) {
-		t.Errorf("Distribute err = %v, want wrapped %v", err, boom)
-	}
-	// Failure of one destination must not block the others.
-	if len(sink.delivered["a"]) != 1 || len(sink.delivered["c"]) != 1 {
-		t.Error("healthy destinations skipped after a failure")
-	}
-}
-
-func TestFanOutRequiresAddrs(t *testing.T) {
-	if _, err := NewFanOut(newRecordingSink(), nil); !errors.Is(err, ErrNoRecipients) {
-		t.Errorf("err = %v, want ErrNoRecipients", err)
-	}
-}
-
 func TestParseMessage(t *testing.T) {
 	raw := "To: alice@a, bob@b\nSubject: hello there\n\nline one\nline two\n"
 	msg, err := ParseMessage([]byte(raw))

@@ -1,9 +1,9 @@
 // Package faultinject is the chaos harness for the transport stack. It
 // injects failures at the WIRE layer — below the protocol, where real
-// networks and dying processes misbehave: connections drop mid-frame, bytes
-// stall, writes land partially. Protocol-level fault injection (a server
-// answering with errors) lives with the remote package's fault sources; this
-// package breaks the bytes themselves.
+// networks and dying processes misbehave: connections drop mid-frame and
+// writes land partially. Operation-level injection (an object answering with
+// errors, or slowly) is the Injector, which the errorfs backend applies to
+// any other backend.
 package faultinject
 
 import (

@@ -11,9 +11,7 @@ import (
 // fault and latency injection. The wire-level tools in this package break
 // bytes; Injector breaks (or delays) whole operations, and is shared by
 // everything that needs that: the errorfs backend wraps any other backend
-// with one, and remote.ChaosSource delegates its rolls here instead of
-// keeping a near-duplicate RNG. Same seed, same fault schedule — a chaos run
-// is reproducible.
+// with one. Same seed, same fault schedule — a chaos run is reproducible.
 type Injector struct {
 	fault   error
 	latency time.Duration

@@ -10,7 +10,7 @@ import (
 
 // Proxy is a TCP man-in-the-middle for chaos runs: traffic between a client
 // and target flows through it, and faults are injected on command —
-// connection drops, stalls, and mid-frame truncation. It stands where a real
+// connection drops and mid-frame truncation. It stands where a real
 // network failure would, so the code under test exercises exactly the error
 // paths production would see.
 type Proxy struct {
@@ -22,7 +22,6 @@ type Proxy struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	stall        atomic.Int64 // per-chunk delay, nanoseconds
 	truncateNext atomic.Int64 // >=0: cut the next server->client chunk to this many bytes, then drop the link
 
 	drops atomic.Uint64
@@ -99,9 +98,6 @@ func (p *Proxy) pump(l *link, src, dst net.Conn, fromServer bool) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if d := p.stall.Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
 			out := buf[:n]
 			if fromServer {
 				if cut := p.truncateNext.Swap(-1); cut >= 0 {
@@ -152,10 +148,6 @@ func (p *Proxy) DropActive() {
 
 // Drops reports how many links have been severed by DropActive.
 func (p *Proxy) Drops() uint64 { return p.drops.Load() }
-
-// SetStall delays every forwarded chunk by d (0 restores full speed) — a
-// congested or wedged path rather than a dead one.
-func (p *Proxy) SetStall(d time.Duration) { p.stall.Store(int64(d)) }
 
 // TruncateNextResponse cuts the next server-to-client chunk to n bytes and
 // then severs that link: the client receives a torn frame followed by EOF.

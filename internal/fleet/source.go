@@ -105,10 +105,10 @@ func (f *Fleet) Open(name string) (backend.Object, error) {
 	return o, nil
 }
 
-// Object is one fleet-routed object. It implements remote.Source (and so
-// backend.Object): reads fan out over the object's owners, writes go to the
-// primary. With caching enabled, reads are served from an epoch-tagged block
-// cache kept coherent by the lease protocol.
+// Object is one fleet-routed object, a backend.Object: reads fan out over
+// the object's owners, writes go to the primary. With caching enabled, reads
+// are served from an epoch-tagged block cache kept coherent by the lease
+// protocol.
 type Object struct {
 	f      *Fleet
 	name   string
@@ -160,7 +160,7 @@ type Object struct {
 	failovers uint64 // reads re-routed to another replica after a transport error
 }
 
-var _ remote.Source = (*Object)(nil)
+var _ backend.Object = (*Object)(nil)
 
 // client returns the pooled connection to owner i, dialing on first use (or
 // after a failover retired the previous one).
@@ -326,7 +326,7 @@ func (o *Object) Failovers() uint64 {
 	return o.failovers
 }
 
-// ReadAt implements remote.Source. Cached reads first verify the lease's
+// ReadAt implements backend.Object. Cached reads first verify the lease's
 // revoke channel is still live — a hit must never outlive the lease that
 // keeps it coherent.
 func (o *Object) ReadAt(p []byte, off int64) (int, error) {
@@ -337,7 +337,7 @@ func (o *Object) ReadAt(p []byte, off int64) (int, error) {
 	return o.readDirect(p, off)
 }
 
-// WriteAt implements remote.Source: writes pin to the primary, which revokes
+// WriteAt implements backend.Object: writes pin to the primary, which revokes
 // read leases, applies, and synchronously replicates before answering. No
 // failover — a non-primary shard would refuse, and replaying a write that
 // may have applied is never safe.
@@ -356,7 +356,7 @@ func (o *Object) writeDirect(p []byte, off int64) (int, error) {
 	return c.WriteAt(p, off)
 }
 
-// Size implements remote.Source (idempotent; fails over like reads).
+// Size implements backend.Object (idempotent; fails over like reads).
 func (o *Object) Size() (int64, error) {
 	if o.cache != nil {
 		return o.cache.Size()
@@ -388,7 +388,7 @@ func (o *Object) sizeDirect() (int64, error) {
 	return 0, fmt.Errorf("fleet: every owner of %q failed: %w", o.name, lastErr)
 }
 
-// Truncate implements remote.Source; primary-pinned like writes.
+// Truncate implements backend.Object; primary-pinned like writes.
 func (o *Object) Truncate(n int64) error {
 	if o.cache != nil {
 		return o.cache.Truncate(n)
@@ -404,7 +404,7 @@ func (o *Object) truncateDirect(n int64) error {
 	return c.Truncate(n)
 }
 
-// Close implements remote.Source, releasing every pooled connection.
+// Close implements backend.Object, releasing every pooled connection.
 func (o *Object) Close() error {
 	o.mu.Lock()
 	if o.closed {
@@ -578,7 +578,7 @@ type leaseRouter struct {
 	o *Object
 }
 
-var _ cache.RandomAccess = (*leaseRouter)(nil)
+var _ cache.Object = (*leaseRouter)(nil)
 
 func (r *leaseRouter) ReadAt(p []byte, off int64) (int, error) {
 	var lastErr error
@@ -608,6 +608,10 @@ func (r *leaseRouter) ReadAt(p []byte, off int64) (int, error) {
 func (r *leaseRouter) WriteAt(p []byte, off int64) (int, error) { return r.o.writeDirect(p, off) }
 func (r *leaseRouter) Size() (int64, error)                     { return r.o.sizeDirect() }
 func (r *leaseRouter) Truncate(n int64) error                   { return r.o.truncateDirect(n) }
+
+// Close implements cache.Object. The router owns nothing: the connections it
+// reads over belong to the Object, whose Close releases them.
+func (r *leaseRouter) Close() error { return nil }
 
 func init() {
 	backend.Register("fleet", func(opts map[string]string, config string) (backend.Backend, error) {

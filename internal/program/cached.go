@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/remote"
 )
 
 // Cached is the frequency-caching sentinel of §1: the sentinel "can monitor
@@ -62,8 +61,7 @@ func (Cached) Open(env *core.Env) (core.Handler, error) {
 	if pollSpec := env.Param("poll", ""); pollSpec != "" {
 		interval, err := time.ParseDuration(pollSpec)
 		if err != nil || interval <= 0 {
-			bc.InvalidateAll()
-			source.Close()
+			bc.Close()
 			return nil, fmt.Errorf("cached: bad poll parameter %q", pollSpec)
 		}
 		h.startWatcher(interval)
@@ -73,7 +71,7 @@ func (Cached) Open(env *core.Env) (core.Handler, error) {
 
 type cachedHandler struct {
 	cache  *cache.BlockCache
-	source remote.Source
+	source cache.Object // the cache's backing store, which the cache closes
 
 	stop chan struct{} // nil without polling
 	done chan struct{}
@@ -175,5 +173,5 @@ func (h *cachedHandler) Close() error {
 		close(h.stop)
 		<-h.done // join the watcher before releasing the source
 	}
-	return h.source.Close()
+	return h.cache.Close()
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/vfs"
 )
 
 // Compress is the per-file compression sentinel of §3: "the sentinel process
@@ -38,7 +37,7 @@ func (Compress) Open(env *core.Env) (core.Handler, error) {
 	}
 	h := &compressHandler{store: store, codec: codec, image: cache.NewMemStore()}
 	if err := h.load(); err != nil {
-		h.closeStore()
+		h.store.Close()
 		return nil, err
 	}
 	return h, nil
@@ -46,7 +45,7 @@ func (Compress) Open(env *core.Env) (core.Handler, error) {
 
 // openStore picks the persistent home of the encoded bytes: the remote
 // source when bound, else the data part.
-func openStore(env *core.Env) (cache.RandomAccess, error) {
+func openStore(env *core.Env) (cache.Object, error) {
 	source, err := env.OpenSource()
 	if err != nil {
 		return nil, err
@@ -58,7 +57,7 @@ func openStore(env *core.Env) (cache.RandomAccess, error) {
 }
 
 type compressHandler struct {
-	store cache.RandomAccess
+	store cache.Object
 	codec filter.Codec
 	image *cache.MemStore
 	dirty bool
@@ -160,20 +159,8 @@ func (h *compressHandler) Sync() error {
 
 func (h *compressHandler) Close() error {
 	err := h.Sync()
-	if cerr := h.closeStore(); err == nil {
+	if cerr := h.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
-
-func (h *compressHandler) closeStore() error {
-	if c, ok := h.store.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// Interface checks for the store types openStore can return.
-var (
-	_ cache.RandomAccess = (*vfs.DataFile)(nil)
-)

@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -39,10 +38,7 @@ func (RegistryFile) Open(env *core.Env) (core.Handler, error) {
 }
 
 type registryHandler struct {
-	store interface {
-		cache.RandomAccess
-		io.Closer
-	}
+	store cache.Object
 	reg   *registry.Registry
 	image *cache.MemStore
 	dirty bool

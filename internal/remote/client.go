@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/ipc"
 	"repro/internal/wire"
 )
@@ -73,7 +74,7 @@ func (s *session) teardown() {
 	s.conn.Close()
 }
 
-// Client is a Source backed by one object on a FileServer, reached over TCP.
+// Client is a source backed by one object on a FileServer, reached over TCP.
 // It is safe for concurrent use, and concurrent requests PIPELINE on the
 // connection: each is tagged with a fresh Seq by an ipc.Mux and responses are
 // matched as they arrive, so many exchanges share one round trip's wire time
@@ -105,7 +106,7 @@ type Client struct {
 	inflight   atomic.Int64
 }
 
-var _ Source = (*Client)(nil)
+var _ backend.Object = (*Client)(nil)
 
 // Dial connects to the file server at addr and opens the named object, with
 // default fault-tolerance options.
@@ -383,7 +384,7 @@ func (c *Client) call(req *wire.Request, dst []byte, idempotent bool) (n int64, 
 	}
 }
 
-// ReadAt implements Source.
+// ReadAt implements backend.Object.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
@@ -403,7 +404,7 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// WriteAt implements Source.
+// WriteAt implements backend.Object.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
@@ -423,19 +424,19 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// Size implements Source.
+// Size implements backend.Object.
 func (c *Client) Size() (int64, error) {
 	n, _, err := c.call(&wire.Request{Op: wire.OpSize}, nil, true)
 	return n, err
 }
 
-// Truncate implements Source.
+// Truncate implements backend.Object.
 func (c *Client) Truncate(n int64) error {
 	_, _, err := c.call(&wire.Request{Op: wire.OpTruncate, Off: n}, nil, false)
 	return err
 }
 
-// Close implements Source, notifying the server and dropping the connection.
+// Close implements backend.Object, notifying the server and dropping the connection.
 // In-flight exchanges are released with ErrSourceClosed; none may replay.
 func (c *Client) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {

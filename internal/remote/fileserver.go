@@ -121,13 +121,6 @@ func (s *FileServer) SetFleet(m ShardMap, self string) {
 	s.fleet.Store(&fleetMembership{m: m, self: self})
 }
 
-// SetRevokeTimeout overrides how long a write round waits for lease holders
-// to acknowledge a revoke before evicting them (DefaultRevokeTimeout
-// otherwise). Set it before Start.
-func (s *FileServer) SetRevokeTimeout(d time.Duration) {
-	s.leases = newLeaseTable(d)
-}
-
 // LeaseStats reports lease-protocol counters.
 func (s *FileServer) LeaseStats() LeaseStats { return s.leases.stats() }
 

@@ -8,9 +8,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/backend"
 )
 
-// HTTPSource is a Source over plain HTTP — the paper's §3 aggregation
+// HTTPSource is a source over plain HTTP — the paper's §3 aggregation
 // example accesses remote files "using a standard protocol (e.g., FTP or
 // HTTP)". Reads use ranged GETs, Size uses HEAD, writes use PUT of the full
 // object (read-modify-write), and Truncate rewrites the object at the new
@@ -24,7 +26,7 @@ type HTTPSource struct {
 	closed bool
 }
 
-var _ Source = (*HTTPSource)(nil)
+var _ backend.Object = (*HTTPSource)(nil)
 
 // NewHTTPSource returns a source for the object at url. A nil client
 // selects http.DefaultClient.
@@ -44,7 +46,7 @@ func (s *HTTPSource) guard() error {
 	return nil
 }
 
-// ReadAt implements Source with a ranged GET.
+// ReadAt implements backend.Object with a ranged GET.
 func (s *HTTPSource) ReadAt(p []byte, off int64) (int, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
@@ -97,7 +99,7 @@ func (s *HTTPSource) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// Size implements Source with a HEAD request.
+// Size implements backend.Object with a HEAD request.
 func (s *HTTPSource) Size() (int64, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
@@ -151,7 +153,7 @@ func (s *HTTPSource) put(data []byte) error {
 	return nil
 }
 
-// WriteAt implements Source as read-modify-write PUT (HTTP has no ranged
+// WriteAt implements backend.Object as read-modify-write PUT (HTTP has no ranged
 // write).
 func (s *HTTPSource) WriteAt(p []byte, off int64) (int, error) {
 	if err := s.guard(); err != nil {
@@ -174,7 +176,7 @@ func (s *HTTPSource) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Truncate implements Source.
+// Truncate implements backend.Object.
 func (s *HTTPSource) Truncate(n int64) error {
 	if err := s.guard(); err != nil {
 		return err
@@ -193,7 +195,7 @@ func (s *HTTPSource) Truncate(n int64) error {
 	return s.put(cur)
 }
 
-// Close implements Source.
+// Close implements backend.Object.
 func (s *HTTPSource) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

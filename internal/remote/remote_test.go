@@ -9,98 +9,10 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/backend"
+	"repro/internal/faultinject"
 )
-
-func TestMemSourceReadWrite(t *testing.T) {
-	m := NewMemSource([]byte("hello world"))
-	buf := make([]byte, 5)
-	if n, err := m.ReadAt(buf, 6); n != 5 || err != nil || string(buf) != "world" {
-		t.Errorf("ReadAt = (%d, %v, %q)", n, err, buf)
-	}
-	if _, err := m.WriteAt([]byte("WORLD"), 6); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(m.Bytes()); got != "hello WORLD" {
-		t.Errorf("Bytes = %q", got)
-	}
-}
-
-func TestMemSourceReadPastEnd(t *testing.T) {
-	m := NewMemSource([]byte("abc"))
-	buf := make([]byte, 10)
-	n, err := m.ReadAt(buf, 1)
-	if n != 2 || !errors.Is(err, io.EOF) {
-		t.Errorf("ReadAt = (%d, %v), want (2, EOF)", n, err)
-	}
-	if _, err := m.ReadAt(buf, 3); !errors.Is(err, io.EOF) {
-		t.Errorf("ReadAt at end err = %v, want EOF", err)
-	}
-	if _, err := m.ReadAt(buf, 100); !errors.Is(err, io.EOF) {
-		t.Errorf("ReadAt past end err = %v, want EOF", err)
-	}
-}
-
-func TestMemSourceWriteExtends(t *testing.T) {
-	m := NewMemSource(nil)
-	if _, err := m.WriteAt([]byte("tail"), 8); err != nil {
-		t.Fatal(err)
-	}
-	if size, _ := m.Size(); size != 12 {
-		t.Errorf("Size = %d, want 12", size)
-	}
-	got := m.Bytes()
-	if !bytes.Equal(got[:8], make([]byte, 8)) {
-		t.Errorf("gap = %v, want zeros", got[:8])
-	}
-	if string(got[8:]) != "tail" {
-		t.Errorf("tail = %q", got[8:])
-	}
-}
-
-func TestMemSourceTruncate(t *testing.T) {
-	m := NewMemSource([]byte("0123456789"))
-	if err := m.Truncate(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(m.Bytes()); got != "0123" {
-		t.Errorf("after shrink = %q", got)
-	}
-	if err := m.Truncate(6); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Bytes(); len(got) != 6 || got[4] != 0 || got[5] != 0 {
-		t.Errorf("after grow = %v", got)
-	}
-	if err := m.Truncate(-1); err == nil {
-		t.Error("Truncate(-1) succeeded")
-	}
-}
-
-func TestMemSourceClosed(t *testing.T) {
-	m := NewMemSource([]byte("x"))
-	m.Close()
-	if _, err := m.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("ReadAt err = %v, want ErrSourceClosed", err)
-	}
-	if _, err := m.WriteAt([]byte("y"), 0); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("WriteAt err = %v, want ErrSourceClosed", err)
-	}
-	if _, err := m.Size(); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("Size err = %v, want ErrSourceClosed", err)
-	}
-	if err := m.Truncate(0); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("Truncate err = %v, want ErrSourceClosed", err)
-	}
-}
-
-func TestMemSourceSeededCopyIsIndependent(t *testing.T) {
-	seed := []byte("seed")
-	m := NewMemSource(seed)
-	seed[0] = 'X'
-	if got := string(m.Bytes()); got != "seed" {
-		t.Errorf("seed mutation leaked: %q", got)
-	}
-}
 
 func startServer(t *testing.T) (*FileServer, string) {
 	t.Helper()
@@ -340,8 +252,15 @@ func TestClientRemoteRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSlowSourceDelays slows a source with errorfs latency: every
+// operation waits out the injector's delay before it runs.
 func TestSlowSourceDelays(t *testing.T) {
-	s := NewSlowSource(NewMemSource([]byte("abc")), 20*time.Millisecond)
+	mem := backend.NewMem()
+	mem.Put("obj", []byte("abc"))
+	s, err := backend.NewErrorFS(mem, faultinject.NewInjector(0, nil, 1, 20*time.Millisecond)).Open("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	if _, err := s.ReadAt(make([]byte, 3), 0); err != nil {
 		t.Fatal(err)
@@ -351,29 +270,45 @@ func TestSlowSourceDelays(t *testing.T) {
 	}
 }
 
+// TestFlakySourceTripAndHeal models a source that becomes unreachable
+// mid-session with errorfs over one mem object: read through a quiet
+// injector, then tripped (an injector failing every operation), then healed
+// (a quiet one again). errorfs rolls Open too, so the tripped phase is
+// observed at Open, Stat and List.
 func TestFlakySourceTripAndHeal(t *testing.T) {
 	boom := errors.New("network partition")
-	s := NewFlakySource(NewMemSource([]byte("abc")))
+	mem := backend.NewMem()
+	mem.Put("obj", []byte("abc"))
+	view := func(rate float64) *backend.ErrorFS {
+		return backend.NewErrorFS(mem, faultinject.NewInjector(rate, boom, 1, 0))
+	}
 
 	buf := make([]byte, 3)
+	s, err := view(0).Open("obj")
+	if err != nil {
+		t.Fatalf("healthy Open: %v", err)
+	}
 	if _, err := s.ReadAt(buf, 0); err != nil {
 		t.Fatalf("healthy ReadAt: %v", err)
 	}
-	s.Trip(boom)
-	if _, err := s.ReadAt(buf, 0); !errors.Is(err, boom) {
-		t.Errorf("tripped ReadAt err = %v, want %v", err, boom)
+	tripped := view(1)
+	if _, err := tripped.Open("obj"); !errors.Is(err, boom) {
+		t.Errorf("tripped Open err = %v, want %v", err, boom)
 	}
-	if _, err := s.WriteAt(buf, 0); !errors.Is(err, boom) {
-		t.Errorf("tripped WriteAt err = %v, want %v", err, boom)
+	if _, err := tripped.Stat("obj"); !errors.Is(err, boom) {
+		t.Errorf("tripped Stat err = %v, want %v", err, boom)
 	}
-	if _, err := s.Size(); !errors.Is(err, boom) {
-		t.Errorf("tripped Size err = %v, want %v", err, boom)
+	if _, err := tripped.List(); !errors.Is(err, boom) {
+		t.Errorf("tripped List err = %v, want %v", err, boom)
 	}
-	if err := s.Truncate(0); !errors.Is(err, boom) {
-		t.Errorf("tripped Truncate err = %v, want %v", err, boom)
+	if tripped.Injector().Injected() != 3 {
+		t.Errorf("tripped injector failed %d operations, want 3", tripped.Injector().Injected())
 	}
-	s.Trip(nil)
-	if _, err := s.ReadAt(buf, 0); err != nil {
-		t.Errorf("healed ReadAt: %v", err)
+	healed, err := view(0).Open("obj")
+	if err != nil {
+		t.Fatalf("healed Open: %v", err)
+	}
+	if _, err := healed.ReadAt(buf, 0); err != nil || string(buf) != "abc" {
+		t.Errorf("healed ReadAt = (%q, %v)", buf, err)
 	}
 }

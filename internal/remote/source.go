@@ -3,139 +3,11 @@
 // against "a remote service" on a cluster; here the services are real TCP
 // servers (block file store, stock quotes, POP-style mail drops, a delivery
 // sink) so the remote critical path (Figure 5, path 1) crosses a genuine
-// network stack, albeit loopback.
+// network stack, albeit loopback. A source is a backend.Object, the one
+// object contract.
 package remote
 
-import (
-	"errors"
-	"io"
-	"sync"
-)
-
-// Source is a random-access remote object, the sentinel's view of one
-// information source.
-type Source interface {
-	io.ReaderAt
-	io.WriterAt
-	// Size returns the object's current length.
-	Size() (int64, error)
-	// Truncate sets the object's length.
-	Truncate(n int64) error
-	// Close releases the connection to the source.
-	Close() error
-}
+import "errors"
 
 // ErrSourceClosed is returned by operations on a closed source.
 var ErrSourceClosed = errors.New("remote: source closed")
-
-// MemSource is an in-process Source backed by a byte slice. It stands in for
-// a remote object in unit tests and implements the sentinel's in-memory
-// cache (Figure 5, path 3) when used as scratch storage. Reads share an
-// RLock so concurrent FileServer workers serving one hot object do not
-// serialize on the store.
-type MemSource struct {
-	mu     sync.RWMutex
-	data   []byte
-	closed bool
-}
-
-var _ Source = (*MemSource)(nil)
-
-// NewMemSource returns a MemSource seeded with a copy of data.
-func NewMemSource(data []byte) *MemSource {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	return &MemSource{data: buf}
-}
-
-// ReadAt implements Source.
-func (m *MemSource) ReadAt(p []byte, off int64) (int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return 0, ErrSourceClosed
-	}
-	if off < 0 {
-		return 0, errors.New("remote: negative offset")
-	}
-	// Zero-length reads succeed at any offset, matching os.File: a probe at
-	// EOF is not an EOF.
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if off >= int64(len(m.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// WriteAt implements Source, zero-filling any gap past the current end.
-func (m *MemSource) WriteAt(p []byte, off int64) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, ErrSourceClosed
-	}
-	if off < 0 {
-		return 0, errors.New("remote: negative offset")
-	}
-	end := off + int64(len(p))
-	if end > int64(len(m.data)) {
-		grown := make([]byte, end)
-		copy(grown, m.data)
-		m.data = grown
-	}
-	copy(m.data[off:end], p)
-	return len(p), nil
-}
-
-// Size implements Source.
-func (m *MemSource) Size() (int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return 0, ErrSourceClosed
-	}
-	return int64(len(m.data)), nil
-}
-
-// Truncate implements Source.
-func (m *MemSource) Truncate(n int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrSourceClosed
-	}
-	if n < 0 {
-		return errors.New("remote: negative length")
-	}
-	if n <= int64(len(m.data)) {
-		m.data = m.data[:n]
-		return nil
-	}
-	grown := make([]byte, n)
-	copy(grown, m.data)
-	m.data = grown
-	return nil
-}
-
-// Close implements Source.
-func (m *MemSource) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	return nil
-}
-
-// Bytes returns a copy of the current contents.
-func (m *MemSource) Bytes() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
-	return out
-}
