@@ -1,12 +1,12 @@
-# Test tiers. tier1 is the gate every change must keep green (build + vet +
-# tests); race adds the race-detector sweep covering the concurrent session
-# core, then re-runs the chaos/fault suites under -race explicitly so the
-# failure paths (sentinel death, connection drops, deadlines, torn frames)
-# are exercised with the detector on even if the default sweep is filtered;
-# conformance runs the backend contract suite — every backend directly and
-# through every strategy — under -race; bench-smoke single-shots the wire and
-# cache Go benchmarks and runs the repository benchmark's smoke pass so
-# neither can bit-rot.
+# Test tiers. tier1 is the gate every change must keep green (build, no
+# command linking package testing, vet, tests); race adds the race-detector
+# sweep covering the concurrent session core, then re-runs the chaos/fault
+# suites under -race explicitly so the failure paths (sentinel death,
+# connection drops, deadlines, torn frames) are exercised with the detector
+# on even if the default sweep is filtered; conformance runs the backend
+# contract suite — every backend directly and through every strategy — under
+# -race; bench-smoke single-shots the wire and cache Go benchmarks and runs
+# the repository benchmark's smoke pass so neither can bit-rot.
 
 GO ?= go
 
@@ -21,6 +21,8 @@ all: tier1 race bench-smoke
 
 tier1:
 	$(GO) build ./...
+	@if $(GO) list -deps ./cmd/... | grep -qx testing; then \
+		echo 'a command links package testing (go list -deps ./cmd/...)' >&2; exit 1; fi
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./...
 	$(GO) test ./...

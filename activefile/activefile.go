@@ -151,7 +151,8 @@ type ProgramSpec struct {
 
 // SourceSpec binds an active file to a remote information source.
 type SourceSpec struct {
-	// Kind is the transport; "tcp" reaches the library's block file service.
+	// Kind is the transport: "tcp" reaches the library's block file
+	// service, "http" any server honouring Range requests.
 	Kind string
 	// Addr is the network address.
 	Addr string

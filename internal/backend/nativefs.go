@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/cache"
 )
 
 // NativeFS is the local-filesystem backend: objects are plain files directly
@@ -57,11 +59,11 @@ func (n *NativeFS) Open(name string) (Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := cache.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("nativefs open %q: %w", name, err)
 	}
-	return &fileObject{f: f}, nil
+	return f, nil
 }
 
 // Stat implements Stater.
@@ -106,25 +108,3 @@ func (n *NativeFS) List() ([]Info, error) {
 
 // Close implements Backend; open objects hold their own descriptors.
 func (n *NativeFS) Close() error { return nil }
-
-// fileObject adapts an *os.File to Object. The kernel already provides
-// os.File EOF and gap-fill semantics; Size needs a Stat.
-type fileObject struct {
-	f *os.File
-}
-
-var _ Object = (*fileObject)(nil)
-
-func (o *fileObject) ReadAt(p []byte, off int64) (int, error)  { return o.f.ReadAt(p, off) }
-func (o *fileObject) WriteAt(p []byte, off int64) (int, error) { return o.f.WriteAt(p, off) }
-
-func (o *fileObject) Size() (int64, error) {
-	fi, err := o.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-func (o *fileObject) Truncate(n int64) error { return o.f.Truncate(n) }
-func (o *fileObject) Close() error           { return o.f.Close() }

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,8 +92,10 @@ type Backend interface {
 	Syncer
 }
 
-// ErrObjectClosed is returned by operations on a closed MemStore handle.
-var ErrObjectClosed = errors.New("cache: object closed")
+// ErrObjectClosed is returned by every operation on a closed Object: a
+// MemStore handle, a File, a remote source. It is fs.ErrClosed, what a
+// closed os.File answers, so one errors.Is tests any of them.
+var ErrObjectClosed = fs.ErrClosed
 
 // errNoStore reports a backend constructed without its required store.
 var errNoStore = errors.New("cache: backend requires a store")
@@ -500,3 +504,47 @@ func (m *memBytes) resize(n int64) {
 		m.data = grown
 	}
 }
+
+// File is an Object over an operating-system file: an active file's data
+// part, and each object of a nativefs backend. os.File's methods are safe
+// for concurrent use, so File adds no lock, and after Close its operations
+// fail with ErrObjectClosed, as os.File's do.
+type File struct {
+	f *os.File
+}
+
+var _ Object = (*File)(nil)
+
+// OpenFile opens the file at path for reading and writing, creating it if
+// it does not exist.
+func OpenFile(path string) (*File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &File{f: f}, nil
+}
+
+// ReadAt implements Object.
+func (o *File) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
+
+// WriteAt implements Object, extending the file as needed.
+func (o *File) WriteAt(p []byte, off int64) (int, error) { return o.f.WriteAt(p, off) }
+
+// Size implements Object.
+func (o *File) Size() (int64, error) {
+	fi, err := o.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
+// Truncate implements Object.
+func (o *File) Truncate(n int64) error { return o.f.Truncate(n) }
+
+// Sync implements Syncer, flushing the file to stable storage.
+func (o *File) Sync() error { return o.f.Sync() }
+
+// Close implements Object.
+func (o *File) Close() error { return o.f.Close() }

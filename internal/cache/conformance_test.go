@@ -3,6 +3,8 @@ package cache_test
 import (
 	"bytes"
 	"errors"
+	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -26,6 +28,90 @@ func TestConformanceMemStore(t *testing.T) {
 	conformance.RunRW(t, func(t *testing.T, content []byte) conformance.Object {
 		return seeded(t, content)
 	})
+}
+
+// openFile returns a cache.File over a fresh temporary file holding
+// content, closed when the test ends.
+func openFile(t *testing.T, content []byte) *cache.File {
+	t.Helper()
+	f, err := cache.OpenFile(filepath.Join(t.TempDir(), "obj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if _, err := f.WriteAt(content, 0); err != nil {
+		t.Fatalf("seed: %v", err)
+	}
+	return f
+}
+
+// TestConformanceFile pins the full read-write contract on the file object
+// behind the data part and nativefs.
+func TestConformanceFile(t *testing.T) {
+	conformance.RunRW(t, func(t *testing.T, content []byte) conformance.Object {
+		return openFile(t, content)
+	})
+}
+
+// TestFileConcurrentOpsRaceClose shares one File among goroutines running
+// every operation with no lock of its own, then closes it under them: each
+// operation succeeds (or reads io.EOF past a concurrent truncation) until
+// the Close, and answers ErrObjectClosed after it.
+func TestFileConcurrentOpsRaceClose(t *testing.T) {
+	f := openFile(t, bytes.Repeat([]byte("f"), 4096))
+	op := func(g, i int, buf []byte) error {
+		off := int64(g * 512)
+		var err error
+		switch i % 5 {
+		case 0:
+			if _, err = f.ReadAt(buf, off); err == io.EOF {
+				err = nil
+			}
+		case 1:
+			_, err = f.WriteAt(buf, off)
+		case 2:
+			err = f.Truncate(4096 + int64(g))
+		case 3:
+			_, err = f.Size()
+		case 4:
+			err = f.Sync()
+		}
+		return err
+	}
+	const warm = 100 // operations each goroutine runs before the Close
+	var ready, done sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		ready.Add(1)
+		done.Add(1)
+		go func(g int) {
+			defer done.Done()
+			buf := make([]byte, 64)
+			for i := 0; ; i++ {
+				if i == warm {
+					ready.Done()
+				}
+				if err := op(g, i, buf); err != nil {
+					if i < warm {
+						ready.Done()
+					}
+					if !errors.Is(err, cache.ErrObjectClosed) {
+						errs <- err
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	ready.Wait()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("operation = %v, want success or ErrObjectClosed", err)
+	}
 }
 
 // TestConformancePassthrough pins the contract on the Mode None backend.

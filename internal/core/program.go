@@ -4,20 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/backend"
 	"repro/internal/cache"
-	"repro/internal/remote"
 	"repro/internal/vfs"
-
-	// Register the network-crossing backend kinds ("remote", "http", "fleet")
-	// in every binary that links the core — including re-exec'd sentinel
-	// children, so a manifest's backend= param resolves identically on both
-	// sides of a fork.
-	_ "repro/internal/backend/remotefs"
-	_ "repro/internal/fleet"
 )
 
 // Handler serves the file operations of one open session of an active file.
@@ -98,60 +89,34 @@ func (e *Env) Param(key, def string) string {
 	return def
 }
 
-// OpenSource dials the manifest's remote source. It returns (nil, nil) when
-// the manifest binds no source. Two transports ship with the library: "tcp"
-// (the block file service) and "http" (any HTTP server honouring Range; the
-// URL is http://<Addr><Path>).
-//
-// A "backend" param takes precedence over the Source spec: the param is a
-// backend spec (see internal/backend), and the bound object is named by the
-// "object" param, falling back to Source.Path. Backends subsume the legacy
-// kinds — "remote:<addr>" is "tcp" and "http:<base>" is "http" — and add
-// local (mem, nativefs), policy (rofs), and fault-injection (errorfs)
-// stores, composable by nesting specs.
+// OpenSource opens the store the manifest binds (vfs.Manifest.Store): the
+// backend= param, or the Source spelled as one. Backends cover the remote
+// transports — "remote:<addr>" (Source kind "tcp") and "http:<base>" (kind
+// "http") — and local (mem, nativefs), policy (rofs) and fault-injection
+// (errorfs) stores, composable by nesting specs. It returns (nil, nil) when
+// the manifest binds no store.
 func (e *Env) OpenSource() (backend.Object, error) {
-	if spec := e.Param(vfs.ParamBackend, ""); spec != "" {
-		name := e.Param(vfs.ParamObject, "")
-		if name == "" {
-			name = e.Manifest.Source.Path
-		}
-		if name == "" {
-			return nil, fmt.Errorf("core: backend %q binds no object (set object= or source.path)", spec)
-		}
-		b, err := backend.Open(spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: backend %q: %w", spec, err)
-		}
-		obj, err := b.Open(name)
-		if err != nil {
-			b.Close()
-			return nil, fmt.Errorf("core: backend %q open %q: %w", spec, name, err)
-		}
-		return &backendSource{Object: obj, owner: b}, nil
+	spec, name, err := e.Manifest.Store()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	src := e.Manifest.Source
-	switch src.Kind {
-	case "":
+	if spec == "" {
 		return nil, nil
-	case "tcp":
-		c, err := remote.Dial(src.Addr, src.Path)
-		if err != nil {
-			return nil, fmt.Errorf("source %s/%s: %w", src.Addr, src.Path, err)
-		}
-		return c, nil
-	case "http":
-		url := src.Addr
-		if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
-			url = "http://" + url
-		}
-		return remote.NewHTTPSource(url+src.Path, nil), nil
-	default:
-		return nil, fmt.Errorf("core: unknown source kind %q", src.Kind)
 	}
+	b, err := backend.Open(spec)
+	if err != nil {
+		return nil, fmt.Errorf("core: backend %q: %w", spec, err)
+	}
+	obj, err := b.Open(name)
+	if err != nil {
+		b.Close()
+		return nil, fmt.Errorf("core: backend %q open %q: %w", spec, name, err)
+	}
+	return &backendSource{Object: obj, owner: b}, nil
 }
 
 // OpenData opens the active file's data part.
-func (e *Env) OpenData() (*vfs.DataFile, error) {
+func (e *Env) OpenData() (*cache.File, error) {
 	if e.Manifest.NoData {
 		return nil, errors.New("core: active file has no data part")
 	}

@@ -168,7 +168,7 @@ func (o *Object) client(i int) (*remote.Client, error) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
-		return nil, remote.ErrSourceClosed
+		return nil, backend.ErrObjectClosed
 	}
 	if c := o.clients[i]; c != nil {
 		o.mu.Unlock()
@@ -185,7 +185,7 @@ func (o *Object) client(i int) (*remote.Client, error) {
 	if o.closed {
 		o.mu.Unlock()
 		c.Close()
-		return nil, remote.ErrSourceClosed
+		return nil, backend.ErrObjectClosed
 	}
 	if prev := o.clients[i]; prev != nil {
 		o.mu.Unlock()
@@ -276,18 +276,18 @@ func (o *Object) readDirect(p []byte, off int64) (int, error) {
 		idx := (start + i) % len(o.owners)
 		c, err := o.client(idx)
 		if err != nil {
-			if !shouldFailover(err) && !errors.Is(err, remote.ErrSourceClosed) {
+			if !shouldFailover(err) && !errors.Is(err, backend.ErrObjectClosed) {
 				return 0, err
 			}
-			if errors.Is(err, remote.ErrSourceClosed) && o.isClosed() {
-				return 0, remote.ErrSourceClosed
+			if errors.Is(err, backend.ErrObjectClosed) && o.isClosed() {
+				return 0, backend.ErrObjectClosed
 			}
 			lastErr = err
 			continue
 		}
 		n, rerr := c.ReadAt(p, off)
 		if rerr == nil || !shouldFailover(rerr) {
-			if errors.Is(rerr, remote.ErrSourceClosed) && !o.isClosed() {
+			if errors.Is(rerr, backend.ErrObjectClosed) && !o.isClosed() {
 				// A concurrent failover closed this client under us, not the
 				// object; try the next replica.
 				lastErr = rerr
@@ -376,7 +376,7 @@ func (o *Object) sizeDirect() (int64, error) {
 		}
 		n, serr := c.Size()
 		if serr == nil || !shouldFailover(serr) {
-			if errors.Is(serr, remote.ErrSourceClosed) && !o.isClosed() {
+			if errors.Is(serr, backend.ErrObjectClosed) && !o.isClosed() {
 				lastErr = serr
 				continue
 			}
@@ -589,7 +589,7 @@ func (r *leaseRouter) ReadAt(p []byte, off int64) (int, error) {
 		}
 		n, rerr := c.ReadAt(p, off)
 		if rerr == nil || !shouldFailover(rerr) {
-			if errors.Is(rerr, remote.ErrSourceClosed) && !r.o.isClosed() {
+			if errors.Is(rerr, backend.ErrObjectClosed) && !r.o.isClosed() {
 				lastErr = rerr
 				r.o.dropClient(idx, c)
 				continue

@@ -210,42 +210,45 @@ func TestCachedProgramBadParams(t *testing.T) {
 
 func TestHTTPSourceBackedActiveFile(t *testing.T) {
 	// The §3 aggregation use with a standard protocol: the sentinel proxies
-	// an HTTP object; the application sees a local file.
+	// an HTTP object; the application sees a local file. The Path names the
+	// object under the server's root, with or without a leading '/'.
 	obj := remote.NewObjectServer()
 	srv := httptest.NewServer(obj)
 	defer srv.Close()
-	obj.Put("/pages/doc.txt", []byte("served over http"))
 
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	for _, cacheMode := range []string{"none", "memory"} {
 		cacheMode := cacheMode
 		t.Run(cacheMode, func(t *testing.T) {
-			path := createAF(t, vfs.Manifest{
-				Program: vfs.ProgramSpec{Name: "passthrough"},
-				Cache:   cacheMode,
-				NoData:  cacheMode != "disk",
-				Source:  vfs.SourceSpec{Kind: "http", Addr: addr, Path: "/pages/doc.txt"},
-			})
-			h, err := core.Open(path, core.Options{Strategy: core.StrategyThread})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
+			for _, srcPath := range []string{"/pages/doc.txt", "doc.txt"} {
+				key := "/" + strings.TrimPrefix(srcPath, "/")
+				obj.Put(key, []byte("served over http"))
+				path := createAF(t, vfs.Manifest{
+					Program: vfs.ProgramSpec{Name: "passthrough"},
+					Cache:   cacheMode,
+					NoData:  cacheMode != "disk",
+					Source:  vfs.SourceSpec{Kind: "http", Addr: addr, Path: srcPath},
+				})
+				h, err := core.Open(path, core.Options{Strategy: core.StrategyThread})
+				if err != nil {
+					t.Fatalf("Open %s: %v", srcPath, err)
+				}
+				got, err := io.ReadAll(h)
+				if err != nil || string(got) != "served over http" {
+					t.Fatalf("read %s = (%q, %v)", srcPath, got, err)
+				}
+				// Writes propagate back over HTTP PUT (on close for cached mode).
+				if _, err := h.WriteAt([]byte("SERVED"), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+				body, _ := obj.Get(key)
+				if string(body) != "SERVED over http" {
+					t.Errorf("http object %s = %q", key, body)
+				}
 			}
-			got, err := io.ReadAll(h)
-			if err != nil || string(got) != "served over http" {
-				t.Fatalf("read = (%q, %v)", got, err)
-			}
-			// Writes propagate back over HTTP PUT (on close for cached mode).
-			if _, err := h.WriteAt([]byte("SERVED"), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
-			}
-			body, _ := obj.Get("/pages/doc.txt")
-			if string(body) != "SERVED over http" {
-				t.Errorf("http object = %q", body)
-			}
-			obj.Put("/pages/doc.txt", []byte("served over http")) // reset
 		})
 	}
 }

@@ -9,6 +9,13 @@ package program
 
 import (
 	"repro/internal/core"
+
+	// Register the network-crossing backend kinds ("remote", "http",
+	// "fleet") in every binary that links the built-in programs: each entry
+	// point, and so each re-exec'd sentinel child, which is the same binary,
+	// so a manifest's store resolves identically on both sides of a fork.
+	_ "repro/internal/backend/remotefs"
+	_ "repro/internal/fleet"
 )
 
 // RegisterAll installs every built-in program into the default core

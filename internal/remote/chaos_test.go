@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/faultinject"
 	"repro/internal/faultinject/leaktest"
 )
@@ -295,8 +296,8 @@ func TestClientTornResponseFrame(t *testing.T) {
 }
 
 // TestClientCloseRacesInflight: Close while a pipeline is in flight must
-// release every call promptly — with ErrSourceClosed or a transport error,
-// never a hang — and later calls report ErrSourceClosed.
+// release every call promptly — with backend.ErrObjectClosed or a transport
+// error, never a hang — and later calls report backend.ErrObjectClosed.
 func TestClientCloseRacesInflight(t *testing.T) {
 	leaktest.Check(t)
 	srv, addr := startServer(t)
@@ -331,8 +332,8 @@ func TestClientCloseRacesInflight(t *testing.T) {
 		t.Fatal("in-flight reads hung across Close")
 	}
 
-	if _, err := c.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrSourceClosed) {
-		t.Fatalf("read after Close = %v, want ErrSourceClosed", err)
+	if _, err := c.ReadAt(make([]byte, 1), 0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Fatalf("read after Close = %v, want backend.ErrObjectClosed", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -1,3 +1,10 @@
+// Package remote implements the distributed information sources active files
+// aggregate from and distribute to. The paper's evaluation runs its sentinel
+// against "a remote service" on a cluster; here the services are real TCP
+// servers (block file store, stock quotes, POP-style mail drops, a delivery
+// sink) so the remote critical path (Figure 5, path 1) crosses a genuine
+// network stack, albeit loopback. A source is a backend.Object, the one
+// object contract, and a closed one answers backend.ErrObjectClosed.
 package remote
 
 import (
@@ -178,7 +185,7 @@ func (c *Client) opCtx() (context.Context, context.CancelFunc) {
 // Callers hold c.mu.
 func (c *Client) sessionLocked() (*session, error) {
 	if c.closed.Load() {
-		return nil, ErrSourceClosed
+		return nil, backend.ErrObjectClosed
 	}
 	if c.sess != nil {
 		return c.sess, nil
@@ -345,7 +352,7 @@ func (c *Client) call(req *wire.Request, dst []byte, idempotent bool) (n int64, 
 			// a fault, and retrying it — here or against a replica — would
 			// turn admission control into a retry storm. It surfaces
 			// immediately.
-			if serr == ErrSourceClosed || IsRefusal(serr) || attempt >= c.opts.MaxRetries {
+			if errors.Is(serr, backend.ErrObjectClosed) || IsRefusal(serr) || attempt >= c.opts.MaxRetries {
 				return 0, 0, serr
 			}
 			c.backoff(attempt)
@@ -372,7 +379,7 @@ func (c *Client) call(req *wire.Request, dst []byte, idempotent bool) (n int64, 
 		// retire it so the next attempt — ours or a later call's — redials.
 		c.dropSession(s)
 		if c.closed.Load() {
-			return 0, 0, ErrSourceClosed
+			return 0, 0, backend.ErrObjectClosed
 		}
 		if !idempotent {
 			return 0, 0, fmt.Errorf("remote %s not replayed (connection failed mid-exchange, may have applied): %w", req.Op, rerr)
@@ -437,7 +444,7 @@ func (c *Client) Truncate(n int64) error {
 }
 
 // Close implements backend.Object, notifying the server and dropping the connection.
-// In-flight exchanges are released with ErrSourceClosed; none may replay.
+// In-flight exchanges are released with backend.ErrObjectClosed; none may replay.
 func (c *Client) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil

@@ -41,7 +41,7 @@ func (s *HTTPSource) guard() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrSourceClosed
+		return backend.ErrObjectClosed
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/backend"
 	"repro/internal/backend/conformance"
 )
 
@@ -116,11 +117,11 @@ func TestHTTPSourceClosed(t *testing.T) {
 	_, srv := startObjectServer(t)
 	s := NewHTTPSource(srv.URL+"/doc", srv.Client())
 	s.Close()
-	if _, err := s.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("ReadAt err = %v, want ErrSourceClosed", err)
+	if _, err := s.ReadAt(make([]byte, 1), 0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("ReadAt err = %v, want backend.ErrObjectClosed", err)
 	}
-	if _, err := s.Size(); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("Size err = %v, want ErrSourceClosed", err)
+	if _, err := s.Size(); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("Size err = %v, want backend.ErrObjectClosed", err)
 	}
 }
 

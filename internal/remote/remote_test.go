@@ -164,8 +164,8 @@ func TestClientAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrSourceClosed) {
-		t.Errorf("ReadAt after close err = %v, want ErrSourceClosed", err)
+	if _, err := c.ReadAt(make([]byte, 1), 0); !errors.Is(err, backend.ErrObjectClosed) {
+		t.Errorf("ReadAt after close err = %v, want backend.ErrObjectClosed", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/backend"
+	"repro/internal/cache"
 )
 
 // Extension marks a path as an active file.
@@ -70,9 +71,11 @@ type ProgramSpec struct {
 }
 
 // SourceSpec describes the remote information source the sentinel binds to.
+// It is another spelling of a ParamBackend binding (see Manifest.Store).
 type SourceSpec struct {
-	// Kind selects the transport: "", "tcp" (block file service), or any
-	// program-defined scheme.
+	// Kind selects the transport: "" (none), "tcp" (the block file service,
+	// backend "remote:<Addr>") or "http" (any HTTP server honouring Range,
+	// backend "http:<Addr>"). Any other kind loads, and fails at open.
 	Kind string `json:"kind,omitempty"`
 	// Addr is the network address for network kinds.
 	Addr string `json:"addr,omitempty"`
@@ -98,6 +101,36 @@ type Manifest struct {
 	// "an active file can have an empty data part"): no data file is
 	// created, and the sentinel synthesizes all content.
 	NoData bool `json:"noData,omitempty"`
+}
+
+// Store returns the store the manifest binds the sentinel to: a backend
+// spec (see internal/backend) and the object within it, or three zero
+// values when it binds none. The ParamBackend param takes precedence, naming
+// its object by ParamObject or else Source.Path. A Source is the same
+// binding spelled another way: kind "tcp" is "remote:<Addr>" and "http" is
+// "http:<Addr>", naming Source.Path less any leading '/'.
+func (m *Manifest) Store() (spec, object string, err error) {
+	if spec := m.Params[ParamBackend]; spec != "" {
+		object := m.Params[ParamObject]
+		if object == "" {
+			object = m.Source.Path
+		}
+		if object == "" {
+			return "", "", fmt.Errorf("backend %q binds no object (set object= or source.path)", spec)
+		}
+		return spec, object, nil
+	}
+	switch m.Source.Kind {
+	case "":
+		return "", "", nil
+	case "tcp":
+		spec = "remote:" + m.Source.Addr
+	case "http":
+		spec = "http:" + m.Source.Addr
+	default:
+		return "", "", fmt.Errorf("unknown source kind %q", m.Source.Kind)
+	}
+	return spec, strings.TrimPrefix(m.Source.Path, "/"), nil
 }
 
 // validate checks structural invariants of a decoded manifest.
@@ -138,6 +171,20 @@ func IsActive(path string) bool {
 // path.
 func DataPath(path string) string {
 	return path + dataSuffix
+}
+
+// OpenData opens (creating if necessary) the data part of the active file at
+// manifestPath, the object sentinels read and write when the data part is
+// the content or its disk cache (Figure 5, path 2).
+func OpenData(manifestPath string) (*cache.File, error) {
+	if !IsActive(manifestPath) {
+		return nil, fmt.Errorf("%w: %q", ErrNotActive, manifestPath)
+	}
+	f, err := cache.OpenFile(DataPath(manifestPath))
+	if err != nil {
+		return nil, fmt.Errorf("open data part: %w", err)
+	}
+	return f, nil
 }
 
 // Create writes a new active file: the manifest at path plus an empty data

@@ -65,6 +65,63 @@ func TestCreateLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestStore maps every way a manifest names its store onto one
+// backend spec and object. Each manifest goes through Create and Load
+// first: a binding Store refuses, such as an unknown source kind, is an
+// open-time error, so such a file still loads (and can be renamed or
+// removed).
+func TestManifestStore(t *testing.T) {
+	tests := []struct {
+		name       string
+		source     SourceSpec
+		params     map[string]string
+		spec, obj  string
+		wantErrMsg string
+	}{
+		{name: "none"},
+		{name: "tcp", source: SourceSpec{Kind: "tcp", Addr: "10.0.0.1:7301", Path: "obj"},
+			spec: "remote:10.0.0.1:7301", obj: "obj"},
+		{name: "http", source: SourceSpec{Kind: "http", Addr: "web:80", Path: "/pages/doc.txt"},
+			spec: "http:web:80", obj: "pages/doc.txt"},
+		{name: "http relative path", source: SourceSpec{Kind: "http", Addr: "web:80", Path: "doc.txt"},
+			spec: "http:web:80", obj: "doc.txt"},
+		{name: "backend and object", params: map[string]string{ParamBackend: "mem", ParamObject: "o1"},
+			source: SourceSpec{Kind: "tcp", Addr: "10.0.0.1:7301", Path: "ignored"},
+			spec:   "mem", obj: "o1"},
+		{name: "backend falls back to source path", params: map[string]string{ParamBackend: "nativefs:/srv"},
+			source: SourceSpec{Path: "o2"}, spec: "nativefs:/srv", obj: "o2"},
+		{name: "backend without object", params: map[string]string{ParamBackend: "mem"},
+			wantErrMsg: `backend "mem" binds no object (set object= or source.path)`},
+		{name: "unknown kind", source: SourceSpec{Kind: "ftp", Addr: "x", Path: "y"},
+			wantErrMsg: `unknown source kind "ftp"`},
+	}
+	dir := t.TempDir()
+	for i, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			path := filepath.Join(dir, "m"+itoa(i)+".af")
+			give := validManifest()
+			give.Source, give.Params = tt.source, tt.params
+			if err := Create(path, give); err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			m, err := Load(path)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			spec, obj, err := m.Store()
+			if tt.wantErrMsg != "" {
+				if err == nil || err.Error() != tt.wantErrMsg {
+					t.Fatalf("Store() err = %v, want %q", err, tt.wantErrMsg)
+				}
+				return
+			}
+			if err != nil || spec != tt.spec || obj != tt.obj {
+				t.Errorf("Store() = (%q, %q, %v), want (%q, %q, nil)", spec, obj, err, tt.spec, tt.obj)
+			}
+		})
+	}
+}
+
 func TestCreateNoData(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gen.af")
