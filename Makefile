@@ -44,6 +44,7 @@ race:
 	$(RACE_ENV) $(GO) test -race -count=50 -run 'OpenErrorSurvivesDeathReport' ./internal/core
 	$(RACE_ENV) $(GO) test -race -count=5 -run 'Rendezvous|ThreadClose|ThreadReadWriteAllocs' ./internal/ipc ./internal/core
 	$(RACE_ENV) $(GO) test -race -count=3 -run 'InheritPipe|SentinelPipesArePollable' ./internal/core
+	$(RACE_ENV) $(GO) test -race -count=3 -run 'Lock|Locking|KilledHolder|Compact' ./internal/program ./internal/loglock
 
 # The backend contract suite: conformance profiles over every backend kind
 # directly (package backend), over package cache's stores and caches, and

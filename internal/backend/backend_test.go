@@ -203,6 +203,40 @@ func TestErrorFSInjectsAndCounts(t *testing.T) {
 	}
 }
 
+// TestErrorFSFailsMidSession opens an object through a partly failing
+// errorfs and reads from it until a read fails: at rate 1 Open itself
+// always fails, so only a lower rate reaches an open object's operations.
+func TestErrorFSFailsMidSession(t *testing.T) {
+	inner := backend.NewMem()
+	inner.Put("obj", make([]byte, 1024))
+	efs := backend.NewErrorFS(inner, faultinject.NewInjector(0.3, nil, 1, 0))
+	var obj backend.Object
+	for i := 0; obj == nil; i++ {
+		if i == 100 {
+			t.Fatal("Open failed 100 times in a row at rate 0.3")
+		}
+		o, err := efs.Open("obj")
+		if err != nil && !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("Open: %v", err)
+		}
+		obj = o
+	}
+	defer obj.Close()
+	buf := make([]byte, 8)
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("ReadAt succeeded 100 times in a row at rate 0.3")
+		}
+		_, err := obj.ReadAt(buf, 0)
+		if errors.Is(err, faultinject.ErrInjected) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("ReadAt: %v", err)
+		}
+	}
+}
+
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		spec   string

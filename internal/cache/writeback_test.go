@@ -224,8 +224,8 @@ func runSyncOps(t *testing.T, dir, localKind, remoteKind string, initial []byte,
 	return check(len(ops))
 }
 
-// openStore returns a fresh store of kind "mem" (a MemStore) or "file" (an
-// os.File at path).
+// openStore returns a fresh store of kind "mem" (a MemStore) or "file" (a
+// File at path).
 func openStore(t *testing.T, kind, path string) Object {
 	if kind == "mem" {
 		return NewMemStore()
@@ -234,18 +234,7 @@ func openStore(t *testing.T, kind, path string) Object {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return osFile{f}
-}
-
-// osFile adds Size to an os.File.
-type osFile struct{ *os.File }
-
-func (f osFile) Size() (int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
+	return &File{f: f}
 }
 
 func TestLocalSyncMatchesFile(t *testing.T) {
@@ -380,7 +369,7 @@ func BenchmarkLocalSync(b *testing.B) {
 	defer f.Close()
 	const size = 1 << 20
 	f.WriteAt(make([]byte, size), 0)
-	l, err := NewLocal(NewMemStore(), osFile{f})
+	l, err := NewLocal(NewMemStore(), &File{f: f})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,85 +2,75 @@
 // §3: "several processes log events using the same log file. As the sentinel
 // process receives each log record, it locks the file, writes the record and
 // unlocks the file. The processes generating the logs do not need to know
-// about log file locking." A lock file provides mutual exclusion between
-// sentinels in different processes; an in-process mutex covers goroutine
-// sentinels sharing this manager.
+// about log file locking." The lock is flock(2) on the log's own
+// descriptor: the kernel keeps it per open file description, so it excludes
+// goroutines and processes alike and is freed when its holder dies.
 package loglock
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sync"
-	"time"
+	"syscall"
 )
-
-// Lock acquisition tuning.
-const (
-	lockRetryDelay = 500 * time.Microsecond
-	lockStaleAfter = 30 * time.Second
-	lockTimeout    = 10 * time.Second
-)
-
-// ErrLockTimeout reports failure to acquire the log lock in time.
-var ErrLockTimeout = errors.New("loglock: timed out waiting for log lock")
 
 // Manager serializes appends to one log file across processes.
 type Manager struct {
-	path     string
-	lockPath string
-	mu       sync.Mutex
+	path string
 }
 
-// New returns a manager for the log at path. The lock file lives beside it.
+// New returns a manager for the log at path.
 func New(path string) *Manager {
-	return &Manager{path: path, lockPath: path + ".lock"}
+	return &Manager{path: path}
 }
 
-// acquire takes the cross-process lock by exclusively creating the lock
-// file, breaking locks older than lockStaleAfter (a crashed holder).
-func (m *Manager) acquire() error {
-	deadline := time.Now().Add(lockTimeout)
+// lock opens the log with flag and takes flock(how) on it. Compact replaces
+// the log by rename, so a descriptor granted the lock after waiting through
+// a compaction may name the unlinked old log; lock then reopens the path.
+func (m *Manager) lock(flag, how int) (*os.File, error) {
 	for {
-		f, err := os.OpenFile(m.lockPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
+		f, err := os.OpenFile(m.path, flag, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("open log: %w", err)
+		}
+		if err := flock(f, how); err != nil {
 			f.Close()
-			return nil
+			return nil, fmt.Errorf("lock log: %w", err)
 		}
-		if !errors.Is(err, os.ErrExist) {
-			return fmt.Errorf("create lock file: %w", err)
+		held, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("stat log: %w", err)
 		}
-		if info, serr := os.Stat(m.lockPath); serr == nil &&
-			time.Since(info.ModTime()) > lockStaleAfter {
-			os.Remove(m.lockPath) // break a stale lock; next loop retries
-			continue
+		cur, err := os.Stat(m.path)
+		if err == nil && os.SameFile(held, cur) {
+			return f, nil
 		}
-		if time.Now().After(deadline) {
-			return ErrLockTimeout
+		f.Close()
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("stat log: %w", err)
 		}
-		time.Sleep(lockRetryDelay)
 	}
 }
 
-// release drops the cross-process lock.
-func (m *Manager) release() {
-	os.Remove(m.lockPath)
+// flock takes how on f, waiting for a conflicting holder.
+func flock(f *os.File, how int) error {
+	for {
+		err := syscall.Flock(int(f.Fd()), how)
+		if err != syscall.EINTR {
+			return err
+		}
+	}
 }
 
 // Append adds one record to the log under the lock, ensuring it ends with a
 // newline so records never interleave mid-line.
 func (m *Manager) Append(record []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.acquire(); err != nil {
-		return err
-	}
-	defer m.release()
-
-	f, err := os.OpenFile(m.path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := m.lock(os.O_CREATE|os.O_APPEND|os.O_WRONLY, syscall.LOCK_EX)
 	if err != nil {
-		return fmt.Errorf("open log: %w", err)
+		return err
 	}
 	defer f.Close()
 	if _, err := f.Write(record); err != nil {
@@ -94,34 +84,37 @@ func (m *Manager) Append(record []byte) error {
 	return nil
 }
 
-// Contents returns the current log bytes.
+// Contents returns the current log bytes, read under a shared lock so no
+// record is seen half-written.
 func (m *Manager) Contents() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, err := os.ReadFile(m.path)
+	f, err := m.lock(os.O_RDONLY, syscall.LOCK_SH)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
-	return data, err
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }
 
 // Compact is the sentinel's background cleanup: under the lock, it rewrites
-// the log keeping only the most recent keep records.
+// the log keeping only the most recent keep records. The rewrite is
+// committed by rename, so a crash leaves either the old log or the new one.
 func (m *Manager) Compact(keep int) error {
 	if keep < 0 {
 		return fmt.Errorf("loglock: negative keep %d", keep)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.acquire(); err != nil {
-		return err
-	}
-	defer m.release()
-
-	data, err := os.ReadFile(m.path)
+	f, err := m.lock(os.O_RDONLY, syscall.LOCK_EX)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return fmt.Errorf("read log: %w", err)
 	}

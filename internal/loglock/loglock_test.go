@@ -2,12 +2,10 @@ package loglock
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestAppendAndContents(t *testing.T) {
@@ -165,27 +163,5 @@ func TestCompactRejectsNegativeKeep(t *testing.T) {
 	m := New(filepath.Join(t.TempDir(), "n.log"))
 	if err := m.Compact(-1); err == nil {
 		t.Error("Compact(-1) succeeded")
-	}
-}
-
-func TestStaleLockBroken(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "stale.log")
-	m := New(path)
-	// Simulate a crashed holder: a lock file with an ancient mtime.
-	lock := path + ".lock"
-	if err := os.WriteFile(lock, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-lockStaleAfter - time.Minute)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Append([]byte("recovered")); err != nil {
-		t.Fatalf("Append with stale lock present: %v", err)
-	}
-	recs, _ := m.Records()
-	if len(recs) != 1 || string(recs[0]) != "recovered" {
-		t.Errorf("records = %q", recs)
 	}
 }

@@ -45,8 +45,8 @@ type accessLogHandler struct {
 var _ core.Handler = (*accessLogHandler)(nil)
 
 // record appends one audit line; audit failures must not break the
-// application's file access, so they are deliberately swallowed after one
-// attempt (the log manager itself retries the lock).
+// application's file access, so they are deliberately swallowed (the log
+// manager waits for the lock, so contention is not a failure).
 func (h *accessLogHandler) record(op string, off int64, n int) {
 	line := fmt.Sprintf("%s off=%d len=%d", op, off, n)
 	_ = h.log.Append([]byte(line))

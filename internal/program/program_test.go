@@ -22,6 +22,9 @@ import (
 func TestMain(m *testing.M) {
 	program.RegisterAll()
 	core.RunChildIfRequested()
+	if path := os.Getenv(holdLockingEnv); path != "" {
+		holdLockingRange(path)
+	}
 	os.Exit(m.Run())
 }
 
